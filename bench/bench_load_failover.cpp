@@ -18,9 +18,7 @@
 // bench/BENCH_load_failover.baseline.json.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "load/harness.hpp"
@@ -34,7 +32,6 @@ namespace {
 struct Row {
   load::TrialResult result;
   double wall_ms = 0;
-  std::string label;  // protocol name, plus engine suffix for sharded rows
 };
 
 void write_json(const char* path, const std::vector<Row>& rows) {
@@ -53,7 +50,7 @@ void write_json(const char* path, const std::vector<Row>& rows) {
                  "\"run_type\": \"iteration\", \"iterations\": 1, "
                  "\"real_time\": %.3f, \"cpu_time\": %.3f, "
                  "\"time_unit\": \"ms\", \"trial\": %s}%s\n",
-                 rows[i].label.c_str(), r.members, r.vips,
+                 load::protocol_name(r.protocol), r.members, r.vips,
                  static_cast<int>(r.flows_per_second), rows[i].wall_ms,
                  rows[i].wall_ms, r.to_json().c_str(),
                  i + 1 < rows.size() ? "," : "");
@@ -67,14 +64,11 @@ void write_json(const char* path, const std::vector<Row>& rows) {
 int main(int argc, char** argv) {
   const char* json_path = nullptr;
   bool quick = false;
-  int shards = 4;  // shard count for the sharded-engine rows; 0 disables
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;  // small grid only (CI smoke)
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
     }
   }
 
@@ -124,56 +118,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(result.retries),
           result.availability, result.effective_downtime_s,
           result.p99_gap_ms(), wall_ms);
-      rows.push_back({result, wall_ms, load::protocol_name(proto)});
+      rows.push_back({result, wall_ms});
     }
     std::printf("\n");
-  }
-
-  if (shards > 1) {
-    // The sharded-engine rows: the same Wackamole trial run on the
-    // conservative-PDES engine at 1 shard (the sequential oracle) and at
-    // `shards` shards with worker threads, identical worlds otherwise
-    // (clients = shards - 1 in both, so the only variable is parallelism).
-    // Speedup = oracle wall / sharded wall; on a single-core host expect
-    // ~1x or below — the row exists to report honest numbers, the gain
-    // shows up on multicore runners.
-    std::printf("  sharded engine (wackamole, %d shards, %d clients):\n",
-                shards, shards - 1);
-    std::vector<Cell> sharded_grid = {{4, 16, 10000.0}};
-    if (!quick) sharded_grid.push_back({16, 256, 75000.0});
-    for (const auto& cell : sharded_grid) {
-      load::TrialOptions t;
-      t.protocol = load::Protocol::kWackamole;
-      t.members = cell.members;
-      t.vips = cell.vips;
-      t.flows_per_second = cell.rate;
-      t.clients = shards - 1;
-      double wall[2] = {0, 0};
-      for (int pass = 0; pass < 2; ++pass) {
-        t.shards = pass == 0 ? 1 : shards;
-        t.shard_threads = pass == 1;
-        auto wall_start = std::chrono::steady_clock::now();
-        auto result = load::run_failover_trial(t);
-        wall[pass] = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-        const std::string label =
-            std::string("wackamole_shards") + std::to_string(t.shards);
-        std::printf(
-            "  %-10s %-8d %-6d %-8d %9llu %9llu %7llu %9.5f %11.3f %11.2f "
-            "%10.0f\n",
-            label.c_str(), cell.members, cell.vips,
-            static_cast<int>(cell.rate),
-            static_cast<unsigned long long>(result.flows),
-            static_cast<unsigned long long>(result.lost),
-            static_cast<unsigned long long>(result.retries),
-            result.availability, result.effective_downtime_s,
-            result.p99_gap_ms(), wall[pass]);
-        rows.push_back({result, wall[pass], label});
-      }
-      std::printf("    speedup (oracle / %d-shard threaded): %.2fx\n\n",
-                  shards, wall[0] / wall[1]);
-    }
   }
 
   if (json_path != nullptr) write_json(json_path, rows);

@@ -45,7 +45,7 @@ int usage(const char* argv0) {
       "usage: %s [--seeds N] [--seed S] [--profile cluster|router|both]\n"
       "          [--rounds R] [--servers N] [--vips K] [--os-faults]\n"
       "          [--state-faults] [--no-shrink] [--dsl] [--replay]\n"
-      "          [--quiet] [--jobs N] [--shards N] [--no-shard-threads]\n",
+      "          [--quiet] [--jobs N]\n",
       argv0);
   return 2;
 }
@@ -128,14 +128,6 @@ int main(int argc, char** argv) {
       // Transient state-corruption verbs + the ReconvergenceOracle
       // (cluster profile; router schedules do not generate them).
       cli.campaign.generator.state_faults = true;
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      // Run cluster-profile seeds on the sharded engine (decision-identical
-      // to the default sequential engine; see docs/PARALLEL.md).
-      const char* a = next();
-      if (!a || !parse_u64(a, v) || v == 0 || v > 64) return usage(argv[0]);
-      cli.campaign.shards = static_cast<int>(v);
-    } else if (std::strcmp(arg, "--no-shard-threads") == 0) {
-      cli.campaign.shard_threads = false;
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
       cli.campaign.shrink = false;
     } else if (std::strcmp(arg, "--dsl") == 0) {

@@ -1,6 +1,5 @@
 #include "apps/cluster_scenario.hpp"
 
-#include <algorithm>
 #include <set>
 
 #include "util/assert.hpp"
@@ -21,7 +20,6 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
     : fabric(sched, &log, options.seed), options_(std::move(options)) {
   WAM_EXPECTS(options_.num_servers >= 1);
   WAM_EXPECTS(options_.num_vips >= 1 && options_.num_vips <= 4096);
-  WAM_EXPECTS(options_.load_clients >= 1 && options_.load_clients <= 32);
   const bool wide = options_.num_vips > 100;
   const int prefix = wide ? 16 : 24;
   const auto router_ip = wide ? net::Ipv4Address(10, 0, 255, 254)
@@ -30,20 +28,6 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
   cluster_seg_ = fabric.add_segment();
   fabric.bind_observability(obs, "net");
   if (options_.with_router) external_seg_ = fabric.add_segment();
-
-  if (options_.shards > 0) {
-    // Lookahead = the minimum per-hop latency: anything sent in a window
-    // arrives in a window that has not started yet (conservative PDES).
-    sim::Duration lookahead = fabric.segment_config(cluster_seg_).latency;
-    if (external_seg_ >= 0) {
-      lookahead =
-          std::min(lookahead, fabric.segment_config(external_seg_).latency);
-    }
-    shards_ = std::make_unique<sim::ShardSet>(sched, options_.shards,
-                                              lookahead);
-    shards_->set_threads(options_.shard_threads);
-    fabric.set_sharding(*shards_);
-  }
 
   // The shared VIP set (one single-address group per VIP: web-cluster mode).
   std::vector<net::Ipv4Address> vips;
@@ -57,32 +41,16 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
     router_->attach_network(external_seg_, net::Ipv4Address(172, 16, 0, 1),
                             24);
   }
-  for (int i = 0; i < options_.load_clients; ++i) {
-    const int shard = shard_for_client(i);
-    // A client on shard k schedules its timers (and receives its frames)
-    // on shard k's run-loop; non-zero shards log nowhere, since the shared
-    // Log reads shard 0's clock.
-    sim::Scheduler& csched = shards_ ? shards_->shard(shard) : sched;
-    sim::Log* clog = shard == 0 ? &log : nullptr;
-    const std::string name =
-        i == 0 ? "client" : "client" + std::to_string(i + 1);
-    auto client = std::make_unique<net::Host>(csched, fabric, name, clog);
-    if (options_.with_router) {
-      client->add_interface(external_seg_,
-                            net::Ipv4Address(172, 16, 0,
-                                             static_cast<std::uint8_t>(2 + i)),
-                            24);
-      client->set_default_gateway(net::Ipv4Address(172, 16, 0, 1));
-    } else {
-      const auto ip =
-          wide ? net::Ipv4Address(10, 0, 255,
-                                  static_cast<std::uint8_t>(253 - i))
-               : net::Ipv4Address(10, 0, 0,
-                                  static_cast<std::uint8_t>(253 - i));
-      client->add_interface(cluster_seg_, ip, prefix);
-    }
-    if (shards_) fabric.assign_shard(client->nic_id(0), shard);
-    clients_.push_back(std::move(client));
+  client_ = std::make_unique<net::Host>(sched, fabric, "client", &log);
+  if (options_.with_router) {
+    client_->add_interface(external_seg_, net::Ipv4Address(172, 16, 0, 2),
+                           24);
+    client_->set_default_gateway(net::Ipv4Address(172, 16, 0, 1));
+  } else {
+    client_->add_interface(cluster_seg_,
+                           wide ? net::Ipv4Address(10, 0, 255, 253)
+                                : net::Ipv4Address(10, 0, 0, 253),
+                           prefix);
   }
 
   for (int i = 0; i < options_.num_servers; ++i) {
@@ -134,20 +102,6 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
     faulty_.push_back(std::move(faulty));
     wams_.push_back(std::move(wamd));
     echos_.push_back(std::move(echo));
-  }
-}
-
-int ClusterScenario::shard_for_client(int i) const {
-  const int s = options_.shards;
-  return s <= 1 ? 0 : 1 + (i % (s - 1));
-}
-
-void ClusterScenario::advance_to(sim::TimePoint t) {
-  if (shards_) {
-    shards_->run_until(t);
-    fabric.fold_shard_counters();
-  } else {
-    sched.run_until(t);
   }
 }
 
@@ -227,11 +181,7 @@ void ClusterScenario::partition(const std::vector<std::vector<int>>& groups) {
   WAM_EXPECTS(assigned.size() ==
               static_cast<std::size_t>(options_.num_servers));
   if (router_) nic_groups[0].push_back(router_->host().nic_id(0));
-  if (!options_.with_router) {
-    for (const auto& client : clients_) {
-      nic_groups[0].push_back(client->nic_id(0));
-    }
-  }
+  if (!options_.with_router) nic_groups[0].push_back(client_->nic_id(0));
   fabric.set_partition(cluster_seg_, nic_groups);
 }
 
@@ -349,8 +299,6 @@ bool ClusterScenario::flip_view_id(int i) {
 
 bool ClusterScenario::reconfig_storm(int i) {
   // Three rediscoveries in quick succession: one membership churn burst.
-  // The follow-up kicks ride timers on the servers' scheduler (shard 0 in
-  // sharded runs) so sequential and sharded timelines stay byte-identical.
   bool applied = gcs_daemon(i).force_rediscovery("chaos: reconfig storm");
   obs.emit(sched.now(), obs::EventType::kFaultInjected, "scenario",
            {{"kind", "reconfig_storm"},

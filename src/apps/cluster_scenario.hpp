@@ -18,7 +18,6 @@
 #include "net/router.hpp"
 #include "obs/observability.hpp"
 #include "sim/random.hpp"
-#include "sim/shard.hpp"
 #include "wackamole/control.hpp"
 #include "wackamole/daemon.hpp"
 
@@ -46,20 +45,6 @@ struct ClusterOptions {
   sim::Duration audit_interval = sim::kZero;
   sim::Duration resync_delay = sim::seconds(1.0);
   sim::Duration resync_backoff_max = sim::seconds(30.0);
-  /// Sharded engine (conservative PDES, sim/shard.hpp). 0 keeps the legacy
-  /// single-threaded engine byte-identical to history; N >= 1 runs the
-  /// sharded engine with N shards — N = 1 is the sequential oracle (same
-  /// engine semantics, per-NIC fabric RNG streams, no parallelism), which
-  /// the equivalence tests compare N > 1 runs against.
-  int shards = 0;
-  /// Worker threads for the sharded engine; false = serial round-robin on
-  /// the calling thread with bit-identical results (TSan-friendly
-  /// reference, and faster on single-core boxes).
-  bool shard_threads = true;
-  /// Client hosts (traffic injection points). All protocol work lives on
-  /// shard 0; client i lands on shard 1 + (i % (shards - 1)) when
-  /// shards > 1, so load generation runs concurrently with the servers.
-  int load_clients = 1;
   std::uint64_t seed = 1;
 };
 
@@ -76,12 +61,7 @@ class ClusterScenario {
   /// starts it). The open-loop load harness plugs in here; so can extra
   /// probes or workloads — traffic_report() aggregates them all.
   TrafficSource& attach_traffic(std::unique_ptr<TrafficSource> source);
-  void run(sim::Duration d) { advance_to(sched.now() + d); }
-  /// Advance the whole world to `t` — every shard when the sharded engine
-  /// is on (folding fabric counters at the quiesce point), plain
-  /// sched.run_until otherwise. All drivers (chaos, harness, tests) go
-  /// through here so one scenario API covers both engines.
-  void advance_to(sim::TimePoint t);
+  void run(sim::Duration d) { sched.run_for(d); }
   /// Run until every running Wackamole daemon reports RUN or `limit` passes.
   bool run_until_stable(sim::Duration limit);
 
@@ -171,16 +151,7 @@ class ClusterScenario {
   [[nodiscard]] wackamole::FaultyIpManager& faulty_ip_manager(int i) {
     return *faulty_[static_cast<std::size_t>(i)];
   }
-  [[nodiscard]] net::Host& client_host() { return *clients_.front(); }
-  [[nodiscard]] net::Host& client_host(int i) {
-    return *clients_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] int num_clients() const {
-    return static_cast<int>(clients_.size());
-  }
-  /// The sharded engine, or nullptr on the legacy path (observability:
-  /// tests and benches read windows()/posts()).
-  [[nodiscard]] sim::ShardSet* shards() { return shards_.get(); }
+  [[nodiscard]] net::Host& client_host() { return *client_; }
   [[nodiscard]] ProbeClient& probe() { return *probe_; }
   /// Every attached traffic source (the probe included, once started).
   [[nodiscard]] const std::vector<std::unique_ptr<TrafficSource>>& traffic()
@@ -207,10 +178,7 @@ class ClusterScenario {
   net::Fabric fabric;
 
  private:
-  [[nodiscard]] int shard_for_client(int i) const;
-
   ClusterOptions options_;
-  std::unique_ptr<sim::ShardSet> shards_;
   net::SegmentId cluster_seg_;
   net::SegmentId external_seg_ = -1;
   std::unique_ptr<net::Router> router_;
@@ -220,7 +188,7 @@ class ClusterScenario {
   std::vector<std::unique_ptr<wackamole::FaultyIpManager>> faulty_;
   std::vector<std::unique_ptr<wackamole::Daemon>> wams_;
   std::vector<std::unique_ptr<EchoServer>> echos_;
-  std::vector<std::unique_ptr<net::Host>> clients_;
+  std::unique_ptr<net::Host> client_;
   std::vector<std::unique_ptr<TrafficSource>> traffic_;  // owns probe_ too
   ProbeClient* probe_ = nullptr;
 };

@@ -56,9 +56,6 @@ class RouterScenario {
   /// External client probes the web server through the virtual router.
   void start_probe();
   void run(sim::Duration d) { sched.run_for(d); }
-  /// Same interface as ClusterScenario::advance_to so the chaos driver is
-  /// scenario-generic. The router world always runs sequentially.
-  void advance_to(sim::TimePoint t) { sched.run_until(t); }
 
   void fail_router(int i);
   void recover_router(int i);

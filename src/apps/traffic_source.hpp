@@ -37,9 +37,9 @@ struct TrafficReport {
                      static_cast<double>(requests_sent);
   }
 
-  /// Fold another source's report into this one (per-shard / multi-source
-  /// scenarios). longest_gap keeps the max — gaps measured by different
-  /// sources are not concatenable.
+  /// Fold another source's report into this one (multi-source scenarios).
+  /// longest_gap keeps the max — gaps measured by different sources are
+  /// not concatenable.
   TrafficReport& merge(const TrafficReport& other) {
     requests_sent += other.requests_sent;
     responses += other.responses;

@@ -135,18 +135,16 @@ std::vector<Violation> drive(Scenario& s, const FaultSchedule& schedule,
         (ci >= schedule.checkpoints.size() ||
          actions[ai].at <= schedule.checkpoints[ci].at);
     if (take_action) {
-      // advance_to quiesces the world first (all shard clocks equal on the
-      // sharded engine), so faults always apply at a barrier.
-      s.advance_to(sim::TimePoint(actions[ai].at));
+      s.sched.run_until(sim::TimePoint(actions[ai].at));
       apply(actions[ai]);
       ++ai;
     } else {
-      s.advance_to(sim::TimePoint(schedule.checkpoints[ci].at));
+      s.sched.run_until(sim::TimePoint(schedule.checkpoints[ci].at));
       check(schedule.checkpoints[ci], violations);
       ++ci;
     }
   }
-  s.advance_to(sim::TimePoint(schedule.horizon));
+  s.sched.run_until(sim::TimePoint(schedule.horizon));
   if (timeline_json) *timeline_json = s.timeline.to_json();
   return violations;
 }
@@ -185,15 +183,12 @@ void extract_reconvergence_ms(const obs::EventTimeline& timeline,
 std::vector<Violation> execute_cluster(const FaultSchedule& schedule,
                                        const std::vector<FaultAction>& actions,
                                        std::uint64_t fabric_seed,
-                                       std::string* timeline_json, int shards,
-                                       bool shard_threads,
+                                       std::string* timeline_json,
                                        std::vector<double>* reconvergence_ms) {
   apps::ClusterOptions copts;
   copts.num_servers = schedule.num_servers;
   copts.num_vips = schedule.num_vips;
   copts.with_router = false;
-  copts.shards = shards;
-  copts.shard_threads = shard_threads;
   copts.balance_timeout = sim::seconds(15.0);  // let balance interleave
   copts.seed = fabric_seed;
   if (schedule.os_faults || schedule.state_faults) {
@@ -289,12 +284,12 @@ const char* profile_name(Profile p) {
 
 std::vector<Violation> execute_schedule(
     const FaultSchedule& schedule, const std::vector<FaultAction>& actions,
-    std::uint64_t fabric_seed, std::string* timeline_json, int shards,
-    bool shard_threads, std::vector<double>* reconvergence_ms) {
+    std::uint64_t fabric_seed, std::string* timeline_json,
+    std::vector<double>* reconvergence_ms) {
   return schedule.router_profile
              ? execute_router(schedule, actions, fabric_seed, timeline_json)
              : execute_cluster(schedule, actions, fabric_seed, timeline_json,
-                               shards, shard_threads, reconvergence_ms);
+                               reconvergence_ms);
 }
 
 CampaignResult run_seed(std::uint64_t seed, Profile profile,
@@ -314,13 +309,11 @@ CampaignResult run_seed(std::uint64_t seed, Profile profile,
   r.dsl = to_dsl(r.schedule);
   r.violations =
       execute_schedule(r.schedule, r.schedule.actions, fabric_seed,
-                       &r.timeline_json, opt.shards, opt.shard_threads,
-                       &r.reconvergence_ms);
+                       &r.timeline_json, &r.reconvergence_ms);
 
   if (!r.passed() && opt.shrink) {
     auto still_fails = [&](const std::vector<FaultAction>& candidate) {
-      return !execute_schedule(r.schedule, candidate, fabric_seed, nullptr,
-                               opt.shards, opt.shard_threads)
+      return !execute_schedule(r.schedule, candidate, fabric_seed, nullptr)
                   .empty();
     };
     auto shrunk = shrink_schedule(r.schedule.actions, still_fails,

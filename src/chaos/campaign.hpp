@@ -33,12 +33,6 @@ struct CampaignOptions {
   GeneratorOptions generator;
   bool shrink = true;          // minimize the schedule on violation
   int shrink_max_evals = 120;  // each evaluation is a full simulated run
-  /// Cluster-profile engine: 0 = legacy single-threaded, N >= 1 = sharded
-  /// conservative-PDES engine with N shards. The sharded engine is
-  /// decision-identical to the sequential one, so verdicts and timelines
-  /// match across values. Router profile always runs sequentially.
-  int shards = 0;
-  bool shard_threads = true;
 };
 
 struct CampaignResult {
@@ -69,14 +63,11 @@ struct CampaignResult {
 /// Execute `actions` against the schedule's checkpoints/horizon without
 /// generating anything — the building block for replay and shrinking.
 /// Returns the violations; fills `timeline_json` when non-null.
-/// `shards`/`shard_threads` select the engine for cluster-profile
-/// schedules (see CampaignOptions); router schedules ignore them.
 /// `reconvergence_ms`, when non-null, collects per-injection reconvergence
 /// windows (state-fault cluster schedules only).
 [[nodiscard]] std::vector<Violation> execute_schedule(
     const FaultSchedule& schedule, const std::vector<FaultAction>& actions,
-    std::uint64_t fabric_seed, std::string* timeline_json, int shards = 0,
-    bool shard_threads = true,
+    std::uint64_t fabric_seed, std::string* timeline_json,
     std::vector<double>* reconvergence_ms = nullptr);
 
 }  // namespace wam::chaos

@@ -1,7 +1,6 @@
 #include "load/flow_stats.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/assert.hpp"
 
@@ -57,10 +56,9 @@ void FlowStats::on_lost(sim::TimePoint t) {
 
 void FlowStats::mark_event(sim::TimePoint at, std::string label) {
   // Sorted insert (stable on ties) so failover_windows() reports in time
-  // order even when marks arrive out of order — e.g. a mark recorded
-  // before set_origin() rebases the grid, or shard-merged marks. An exact
-  // duplicate (same tick AND same label) is a replay echo of the same
-  // fail-over, not a second event: skip it instead of double-reporting.
+  // order even when marks arrive out of order. An exact duplicate (same
+  // tick AND same label) is a replay echo of the same fail-over, not a
+  // second event: skip it instead of double-reporting.
   auto pos = std::upper_bound(
       events_.begin(), events_.end(), at,
       [](sim::TimePoint t, const Event& e) { return t < e.at; });
@@ -70,90 +68,6 @@ void FlowStats::mark_event(sim::TimePoint at, std::string label) {
     if (it->label == label) return;
   }
   events_.insert(pos, {at, std::move(label)});
-}
-
-void FlowStats::set_origin(sim::TimePoint t) {
-  WAM_EXPECTS(!have_origin_ && buckets_.empty());
-  have_origin_ = true;
-  origin_ = t;
-  last_seen_ = t;
-}
-
-void FlowStats::merge(const FlowStats& other) {
-  WAM_EXPECTS(bucket_ == other.bucket_);
-  offered_ += other.offered_;
-  answered_ += other.answered_;
-  lost_ += other.lost_;
-  retries_ += other.retries_;
-  rtt_.merge(other.rtt_);
-
-  if (other.have_origin_) {
-    if (!have_origin_) {
-      have_origin_ = true;
-      origin_ = other.origin_;
-      last_seen_ = other.last_seen_;
-      buckets_ = other.buckets_;
-    } else {
-      last_seen_ = std::max(last_seen_, other.last_seen_);
-      const sim::TimePoint new_origin = std::min(origin_, other.origin_);
-      WAM_EXPECTS((origin_ - new_origin) % bucket_ == sim::kZero);
-      WAM_EXPECTS((other.origin_ - new_origin) % bucket_ == sim::kZero);
-      if (new_origin != origin_) {
-        // Rebase our grid onto the earlier origin.
-        const auto shift =
-            static_cast<std::size_t>((origin_ - new_origin) / bucket_);
-        std::vector<Bucket> rebased(buckets_.size() + shift);
-        for (std::size_t i = 0; i < rebased.size(); ++i) {
-          rebased[i].start =
-              new_origin + bucket_ * static_cast<std::int64_t>(i);
-        }
-        for (std::size_t i = 0; i < buckets_.size(); ++i) {
-          rebased[i + shift].offered = buckets_[i].offered;
-          rebased[i + shift].answered = buckets_[i].answered;
-          rebased[i + shift].lost = buckets_[i].lost;
-          rebased[i + shift].retries = buckets_[i].retries;
-        }
-        buckets_ = std::move(rebased);
-        origin_ = new_origin;
-      }
-      const auto off =
-          static_cast<std::size_t>((other.origin_ - origin_) / bucket_);
-      while (buckets_.size() < off + other.buckets_.size()) {
-        Bucket b;
-        b.start =
-            origin_ + bucket_ * static_cast<std::int64_t>(buckets_.size());
-        buckets_.push_back(b);
-      }
-      for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-        Bucket& into = buckets_[off + i];
-        into.offered += other.buckets_[i].offered;
-        into.answered += other.buckets_[i].answered;
-        into.lost += other.buckets_[i].lost;
-        into.retries += other.buckets_[i].retries;
-      }
-    }
-  }
-
-  // Interleave response samples in time order (ties: ours first — matching
-  // the shard index order merges are applied in), then recompute the gap
-  // statistics over the combined timeline: the longest silence of the
-  // merged population is not the max of the per-shard silences.
-  std::vector<Sample> merged;
-  merged.reserve(samples_.size() + other.samples_.size());
-  std::merge(samples_.begin(), samples_.end(), other.samples_.begin(),
-             other.samples_.end(), std::back_inserter(merged),
-             [](const Sample& a, const Sample& b) { return a.at < b.at; });
-  samples_ = std::move(merged);
-  longest_gap_ = sim::kZero;
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    longest_gap_ =
-        std::max(longest_gap_, samples_[i].at - samples_[i - 1].at);
-  }
-  if (!samples_.empty()) last_response_ = samples_.back().at;
-
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const Event& a, const Event& b) { return a.at < b.at; });
 }
 
 double FlowStats::availability() const {

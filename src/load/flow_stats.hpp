@@ -55,17 +55,6 @@ class FlowStats {
   void on_lost(sim::TimePoint t);
   /// Mark a fail-over (or any) event for windowed before/after reporting.
   void mark_event(sim::TimePoint at, std::string label);
-  /// Pin the bucket-grid origin before any event is recorded. Sharded
-  /// trials run one generator per client; pinning every generator to the
-  /// same origin aligns their bucket grids so merge() adds bucket-to-
-  /// bucket instead of rebasing.
-  void set_origin(sim::TimePoint t);
-  /// Fold another FlowStats (same bucket width) into this one: counters
-  /// and rtt distributions add, bucket timelines align on the earlier
-  /// origin (grids must be offset by a whole number of buckets), response
-  /// samples interleave in time order, and the longest response gap is
-  /// recomputed over the combined sample timeline.
-  void merge(const FlowStats& other);
 
   // ---- aggregate results ----
   [[nodiscard]] std::uint64_t offered() const { return offered_; }
@@ -81,7 +70,7 @@ class FlowStats {
     return longest_gap_;
   }
   /// Response times (seconds) of every answered request; exposes the
-  /// arbitrary-quantile API and merges across shards via Stats::merge.
+  /// arbitrary-quantile API.
   [[nodiscard]] const sim::Stats& response_times() const { return rtt_; }
 
   struct Bucket {

@@ -10,7 +10,6 @@
 #include "baselines/hsrp.hpp"
 #include "baselines/vrrp.hpp"
 #include "load/generator.hpp"
-#include "sim/shard.hpp"
 #include "util/assert.hpp"
 
 namespace wam::load {
@@ -35,29 +34,25 @@ std::vector<net::Ipv4Address> vip_list(int num_vips) {
   return vips;
 }
 
-LoadOptions load_options(const TrialOptions& t, int client, int num_clients) {
+LoadOptions load_options(const TrialOptions& t) {
   LoadOptions opt;
   opt.vips = vip_list(t.vips);
-  // The offered rate is split evenly over the client population, so the
-  // cluster sees the same aggregate load regardless of `clients`.
-  opt.flows_per_second = t.flows_per_second / num_clients;
+  opt.flows_per_second = t.flows_per_second;
   opt.zipf_skew = t.zipf_skew;
   opt.long_flow_fraction = t.long_flow_fraction;
-  // Client 0 keeps the exact historical derivation (decoupled from the
-  // fabric seed); extra clients perturb it with a distinct odd stride.
-  opt.seed = t.seed * 0x9e3779b97f4a7c15ULL + 1 +
-             0x100000001b3ULL * static_cast<std::uint64_t>(client);
+  opt.seed = t.seed * 0x9e3779b97f4a7c15ULL + 1;  // decouple from fabric
   return opt;
 }
 
-void fill_result(TrialResult& r, const TrialOptions& t, const FlowStats& stats,
-                 std::uint64_t flows_started) {
+TrialResult to_result(const TrialOptions& t, const LoadGenerator& gen) {
+  const FlowStats& stats = gen.stats();
+  TrialResult r;
   r.protocol = t.protocol;
   r.members = t.members;
   r.vips = t.vips;
   r.flows_per_second = t.flows_per_second;
   r.seed = t.seed;
-  r.flows = flows_started;
+  r.flows = gen.flows_started();
   r.offered = stats.offered();
   r.answered = stats.answered();
   r.lost = stats.lost();
@@ -73,29 +68,14 @@ void fill_result(TrialResult& r, const TrialOptions& t, const FlowStats& stats,
     r.p999_before_ms = w.p999_before * 1e3;
     r.p999_after_ms = w.p999_after * 1e3;
   }
-}
-
-/// Fold a generator population's accounting into one TrialResult.
-void fill_merged(TrialResult& r, const TrialOptions& t,
-                 const std::vector<LoadGenerator*>& gens) {
-  FlowStats merged = gens.front()->stats();
-  std::uint64_t flows = gens.front()->flows_started();
-  for (std::size_t i = 1; i < gens.size(); ++i) {
-    merged.merge(gens[i]->stats());
-    flows += gens[i]->flows_started();
-  }
-  fill_result(r, t, merged, flows);
+  return r;
 }
 
 TrialResult wackamole_trial(const TrialOptions& t) {
-  WAM_EXPECTS(t.clients >= 1);
   apps::ClusterOptions copt;
   copt.num_servers = t.members;
   copt.num_vips = t.vips;
   copt.with_router = false;  // same-LAN client, like the baselines
-  copt.shards = t.shards;
-  copt.shard_threads = t.shard_threads;
-  copt.load_clients = t.clients;
   copt.seed = t.seed;
   apps::ClusterScenario s(copt);
   s.start();
@@ -105,56 +85,35 @@ TrialResult wackamole_trial(const TrialOptions& t) {
   }
   s.run(sim::seconds(2.0));
 
-  std::vector<LoadGenerator*> gens;
-  for (int c = 0; c < s.num_clients(); ++c) {
-    auto owned = std::make_unique<LoadGenerator>(
-        s.client_host(c), load_options(t, c, s.num_clients()));
-    // Pin every generator's bucket grid to one origin so the post-run
-    // merge adds bucket-to-bucket (one client keeps the legacy lazy
-    // origin, which is byte-identical to history).
-    if (s.num_clients() > 1) owned->stats().set_origin(s.sched.now());
-    gens.push_back(owned.get());
-    s.attach_traffic(std::move(owned));
-  }
+  auto owned =
+      std::make_unique<LoadGenerator>(s.client_host(), load_options(t));
+  LoadGenerator& gen = *owned;
+  s.attach_traffic(std::move(owned));
   s.run(t.warmup);
 
   const int victim = s.owner_of(0);  // whoever covers the hottest VIP
   WAM_EXPECTS(victim >= 0);
-  gens.front()->stats().mark_event(s.sched.now(), "disconnect");
+  gen.stats().mark_event(s.sched.now(), "disconnect");
   s.disconnect_server(victim);
   s.run(t.after);
-  for (auto* gen : gens) gen->drain();
+  gen.drain();
   s.run(sim::seconds(2.0));
-
-  TrialResult r;
-  fill_merged(r, t, gens);
-  return r;
+  return to_result(t, gen);
 }
 
 /// Flat LAN shared by the VRRP/HSRP/Fake trials: `members` hosts all
-/// running echo servers, a client population, same VIP addresses as
-/// Wackamole. With t.shards > 0 the world runs on the sharded engine:
-/// members (and the protocol traffic between them) on shard 0, clients
-/// spread over shards 1..N-1.
+/// running echo servers, one client, same VIP addresses as Wackamole.
 struct BaselineLan {
   sim::Scheduler sched;
   sim::Log log{sched};
   net::Fabric fabric;
-  std::unique_ptr<sim::ShardSet> shards;
   net::SegmentId seg;
   std::vector<std::unique_ptr<net::Host>> hosts;
   std::vector<std::unique_ptr<apps::EchoServer>> echos;
-  std::vector<std::unique_ptr<net::Host>> clients;
+  std::unique_ptr<net::Host> client;
 
   explicit BaselineLan(const TrialOptions& t) : fabric(sched, &log, t.seed) {
-    WAM_EXPECTS(t.clients >= 1 && t.clients <= 32);
     seg = fabric.add_segment();
-    if (t.shards > 0) {
-      shards = std::make_unique<sim::ShardSet>(
-          sched, t.shards, fabric.segment_config(seg).latency);
-      shards->set_threads(t.shard_threads);
-      fabric.set_sharding(*shards);
-    }
     const bool wide = t.vips > 100;
     const int prefix = wide ? 16 : 24;
     for (int i = 0; i < t.members; ++i) {
@@ -167,55 +126,25 @@ struct BaselineLan {
       echos.back()->start();
       hosts.push_back(std::move(host));
     }
-    for (int i = 0; i < t.clients; ++i) {
-      const int shard =
-          (!shards || shards->size() <= 1) ? 0 : 1 + (i % (shards->size() - 1));
-      sim::Scheduler& csched = shards ? shards->shard(shard) : sched;
-      auto client = std::make_unique<net::Host>(
-          csched, fabric,
-          i == 0 ? "client" : "client" + std::to_string(i + 1),
-          shard == 0 ? &log : nullptr);
-      const auto last = static_cast<std::uint8_t>(253 - i);
-      client->add_interface(seg,
-                            wide ? net::Ipv4Address(10, 0, 255, last)
-                                 : net::Ipv4Address(10, 0, 0, last),
-                            prefix);
-      if (shards) fabric.assign_shard(client->nic_id(0), shard);
-      clients.push_back(std::move(client));
-    }
+    client = std::make_unique<net::Host>(sched, fabric, "client", &log);
+    client->add_interface(seg,
+                          wide ? net::Ipv4Address(10, 0, 255, 253)
+                               : net::Ipv4Address(10, 0, 0, 253),
+                          prefix);
   }
 
-  void run_for(sim::Duration d) {
-    if (shards) {
-      shards->run_for(d);
-      fabric.fold_shard_counters();
-    } else {
-      sched.run_for(d);
-    }
-  }
-
-  /// Settle the protocol, run load around a member-0 crash, fill `r`.
+  /// Settle the protocol, run load around a member-0 crash.
   TrialResult measure(const TrialOptions& t, sim::Duration settle) {
-    run_for(settle);
-    std::vector<std::unique_ptr<LoadGenerator>> owned;
-    std::vector<LoadGenerator*> gens;
-    for (int c = 0; c < static_cast<int>(clients.size()); ++c) {
-      owned.push_back(std::make_unique<LoadGenerator>(
-          *clients[static_cast<std::size_t>(c)],
-          load_options(t, c, static_cast<int>(clients.size()))));
-      if (clients.size() > 1) owned.back()->stats().set_origin(sched.now());
-      owned.back()->start();
-      gens.push_back(owned.back().get());
-    }
-    run_for(t.warmup);
-    gens.front()->stats().mark_event(sched.now(), "fail member1");
+    sched.run_for(settle);
+    LoadGenerator gen(*client, load_options(t));
+    gen.start();
+    sched.run_for(t.warmup);
+    gen.stats().mark_event(sched.now(), "fail member1");
     hosts[0]->fail();
-    run_for(t.after);
-    for (auto* gen : gens) gen->drain();
-    run_for(sim::seconds(2.0));
-    TrialResult r;
-    fill_merged(r, t, gens);
-    return r;
+    sched.run_for(t.after);
+    gen.drain();
+    sched.run_for(sim::seconds(2.0));
+    return to_result(t, gen);
   }
 };
 

@@ -45,18 +45,6 @@ struct TrialOptions {
   sim::Duration after = sim::seconds(12.0);
   /// Before/after percentile window around the fault.
   sim::Duration window = sim::seconds(3.0);
-  /// Sharded engine (conservative PDES): 0 = the legacy single-threaded
-  /// engine, byte-identical to history; N >= 1 = sharded engine with N
-  /// shards. N = 1 is the sequential oracle — the equivalence tests pin
-  /// N > 1 runs against it.
-  int shards = 0;
-  /// Worker threads for the sharded engine; false = serial round-robin
-  /// with bit-identical results.
-  bool shard_threads = true;
-  /// Client hosts; the offered rate is split evenly across them. With
-  /// shards > 1 clients live on shards 1..N-1, so generation parallelizes
-  /// against the servers on shard 0.
-  int clients = 1;
   std::uint64_t seed = 1;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "sim/shard.hpp"
 #include "util/assert.hpp"
 
 namespace wam::net {
@@ -41,98 +40,8 @@ void FabricCounters::export_into(obs::MetricRegistry& registry,
                          });
 }
 
-namespace {
-
-/// FNV-1a over the frame's addressing and payload; identifies a frame for
-/// the delivery journal without storing it.
-std::uint64_t frame_digest(const Frame& frame) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h = (h ^ v) * 0x100000001b3ULL;
-  };
-  for (char c : frame.src.to_string()) mix(static_cast<unsigned char>(c));
-  for (char c : frame.dst.to_string()) mix(static_cast<unsigned char>(c));
-  mix(static_cast<std::uint64_t>(frame.type));
-  for (std::uint8_t b : frame.payload) mix(b);
-  return h;
-}
-
-}  // namespace
-
 Fabric::Fabric(sim::Scheduler& sched, sim::Log* log, std::uint64_t seed)
-    : sched_(sched), log_(log, "net/fabric"), rng_(seed), seed_(seed) {}
-
-void Fabric::set_sharding(sim::ShardSet& shards) {
-  WAM_EXPECTS(shards_ == nullptr);
-  WAM_EXPECTS(!tap_);
-  for (const auto& seg : segments_) {
-    // The conservative guarantee: nothing sent in a window may arrive
-    // inside it, so every hop must take at least one lookahead.
-    WAM_EXPECTS(seg.config.latency >= shards.lookahead());
-  }
-  shards_ = &shards;
-  nic_shard_.assign(nics_.size(), 0);
-  shard_counters_ =
-      std::vector<FabricCounters>(static_cast<std::size_t>(shards.size()));
-  nic_rng_.clear();
-  for (std::size_t i = 0; i < nics_.size(); ++i) {
-    nic_rng_.push_back(sim::Rng(seed_).stream(1 + i));
-  }
-}
-
-void Fabric::assign_shard(NicId id, int shard) {
-  WAM_EXPECTS(shards_ != nullptr);
-  WAM_EXPECTS(shard >= 0 && shard < shards_->size());
-  WAM_EXPECTS(id >= 0 && id < static_cast<NicId>(nic_shard_.size()));
-  nic_shard_[static_cast<std::size_t>(id)] = shard;
-}
-
-int Fabric::shard_of(NicId id) const {
-  (void)nic(id);  // bounds check
-  return shards_ == nullptr ? 0 : nic_shard_[static_cast<std::size_t>(id)];
-}
-
-void Fabric::fold_shard_counters() const {
-  if (shard_counters_.empty()) return;
-  // Both enumerations visit fields in the same order, so fold by index.
-  std::vector<obs::Counter*> into;
-  for_each_fabric_metric(counters_, [&](const char*, obs::Counter& c) {
-    into.push_back(&c);
-  });
-  for (auto& sc : shard_counters_) {
-    std::size_t i = 0;
-    for_each_fabric_metric(sc, [&](const char*, obs::Counter& c) {
-      const std::uint64_t delta = c.value();
-      if (delta != 0) {
-        *into[i] += delta;
-        c = obs::Counter{};
-      }
-      ++i;
-    });
-  }
-}
-
-const std::vector<Fabric::DeliveryRecord>& Fabric::deliveries(
-    NicId id) const {
-  (void)nic(id);  // bounds check
-  return journal_[static_cast<std::size_t>(id)];
-}
-
-sim::Scheduler& Fabric::sched_of(NicId id) {
-  if (shards_ == nullptr) return sched_;
-  return shards_->shard(nic_shard_[static_cast<std::size_t>(id)]);
-}
-
-sim::Rng& Fabric::tx_rng(NicId sender) {
-  if (shards_ == nullptr) return rng_;
-  return nic_rng_[static_cast<std::size_t>(sender)];
-}
-
-FabricCounters& Fabric::ctrs(NicId id) {
-  if (shards_ == nullptr) return counters_;
-  return shard_counters_[static_cast<std::size_t>(
-      nic_shard_[static_cast<std::size_t>(id)])];
-}
+    : sched_(sched), log_(log, "net/fabric"), rng_(seed) {}
 
 void Fabric::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
@@ -162,11 +71,6 @@ NicId Fabric::attach(SegmentId seg, MacAddress mac, DeliverFn deliver) {
   auto id = static_cast<NicId>(nics_.size());
   nics_.push_back(Nic{seg, mac, true, 0, std::move(deliver)});
   segments_[static_cast<std::size_t>(seg)].nics.push_back(id);
-  journal_.emplace_back();
-  if (shards_ != nullptr) {
-    nic_shard_.push_back(0);
-    nic_rng_.push_back(sim::Rng(seed_).stream(1 + static_cast<std::uint64_t>(id)));
-  }
   return id;
 }
 
@@ -310,60 +214,37 @@ void Fabric::merge_segment(SegmentId seg) {
 
 void Fabric::deliver_now(NicId to, Frame frame) {
   const auto& n = nic(to);
-  auto& c = ctrs(to);
   if (!n.up) {
-    ++c.dropped_nic_down;
+    ++counters_.dropped_nic_down;
     return;
   }
-  ++c.frames_delivered;
-  if (record_deliveries_) {
-    journal_[static_cast<std::size_t>(to)].push_back(
-        DeliveryRecord{sched_of(to).now(), frame_digest(frame)});
-  }
+  ++counters_.frames_delivered;
   n.deliver(frame, to);
 }
 
-void Fabric::schedule_delivery(NicId from, NicId to, sim::TimePoint when,
-                               util::SmallFn fn) {
-  if (shards_ == nullptr) {
-    sched_.schedule_at(when, std::move(fn));
-    return;
-  }
-  const int sf = nic_shard_[static_cast<std::size_t>(from)];
-  const int st = nic_shard_[static_cast<std::size_t>(to)];
-  if (sf == st) {
-    shards_->shard(sf).schedule_at(when, std::move(fn));
-    return;
-  }
-  shards_->post(sf, st, when, std::move(fn));
-}
-
-void Fabric::deliver_later(const Segment& seg, NicId from, NicId to,
-                           Frame frame) {
+void Fabric::deliver_later(const Segment& seg, NicId to, Frame frame) {
   sim::Duration latency = seg.config.latency;
   if (seg.config.jitter > sim::kZero) {
-    latency += tx_rng(from).duration_range(sim::kZero, seg.config.jitter);
+    latency += rng_.duration_range(sim::kZero, seg.config.jitter);
   }
-  const sim::TimePoint when = sched_of(from).now() + latency;
-  schedule_delivery(from, to, when,
-                    [this, to, frame = std::move(frame)]() mutable {
-                      deliver_now(to, std::move(frame));
-                    });
+  sched_.schedule_at(sched_.now() + latency,
+                     [this, to, frame = std::move(frame)]() mutable {
+                       deliver_now(to, std::move(frame));
+                     });
 }
 
 void Fabric::send(NicId from, Frame frame) {
   const auto& sender = nic(from);
-  auto& c = ctrs(from);
   if (!sender.up) {
-    ++c.dropped_nic_down;
+    ++counters_.dropped_nic_down;
     return;
   }
   const auto& seg = segments_[static_cast<std::size_t>(sender.segment)];
-  ++c.frames_sent;
+  ++counters_.frames_sent;
   if (tap_) tap_(sender.segment, frame);
   if (seg.config.drop_probability > 0 &&
-      tx_rng(from).chance(seg.config.drop_probability)) {
-    ++c.dropped_random;
+      rng_.chance(seg.config.drop_probability)) {
+    ++counters_.dropped_random;
     return;
   }
 
@@ -376,18 +257,18 @@ void Fabric::send(NicId from, Frame frame) {
         continue;
       }
       if (!target.up) {
-        ++c.dropped_nic_down;
+        ++counters_.dropped_nic_down;
         continue;
       }
       if (target.component != sender.component) {
-        ++c.dropped_partition;
+        ++counters_.dropped_partition;
         continue;
       }
       if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-        ++c.dropped_directional;
+        ++counters_.dropped_directional;
         continue;
       }
-      deliver_later(seg, from, id, frame);
+      deliver_later(seg, id, frame);
     }
     return;
   }
@@ -396,34 +277,32 @@ void Fabric::send(NicId from, Frame frame) {
     const auto& target = nic(id);
     if (target.mac != frame.dst) continue;
     if (!target.up) {
-      ++c.dropped_nic_down;
+      ++counters_.dropped_nic_down;
       return;
     }
     if (target.component != sender.component) {
-      ++c.dropped_partition;
+      ++counters_.dropped_partition;
       return;
     }
     if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-      ++c.dropped_directional;
+      ++counters_.dropped_directional;
       return;
     }
-    deliver_later(seg, from, id, frame);
+    deliver_later(seg, id, frame);
     return;
   }
-  ++c.dropped_no_target;
+  ++counters_.dropped_no_target;
 }
 
 void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
   if (frames.empty()) return;
   const auto& sender = nic(from);
-  auto& c = ctrs(from);
   if (!sender.up) {
-    c.dropped_nic_down += frames.size();
+    counters_.dropped_nic_down += frames.size();
     return;
   }
   const auto& seg = segments_[static_cast<std::size_t>(sender.segment)];
-  sim::Rng& rng = tx_rng(from);
-  const sim::TimePoint tnow = sched_of(from).now();
+  const sim::TimePoint tnow = sched_.now();
 
   // Phase 1 mirrors send() once per frame — same counter bumps, same
   // eligibility checks, and crucially the same RNG draw order (one drop
@@ -440,18 +319,18 @@ void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
   auto arrival = [&] {
     sim::Duration latency = seg.config.latency;
     if (seg.config.jitter > sim::kZero) {
-      latency += rng.duration_range(sim::kZero, seg.config.jitter);
+      latency += rng_.duration_range(sim::kZero, seg.config.jitter);
     }
     return tnow + latency;
   };
 
   for (std::uint32_t fi = 0; fi < frames.size(); ++fi) {
     const Frame& frame = frames[fi];
-    ++c.frames_sent;
+    ++counters_.frames_sent;
     if (tap_) tap_(sender.segment, frame);
     if (seg.config.drop_probability > 0 &&
-        rng.chance(seg.config.drop_probability)) {
-      ++c.dropped_random;
+        rng_.chance(seg.config.drop_probability)) {
+      ++counters_.dropped_random;
       continue;
     }
 
@@ -464,15 +343,15 @@ void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
           continue;
         }
         if (!target.up) {
-          ++c.dropped_nic_down;
+          ++counters_.dropped_nic_down;
           continue;
         }
         if (target.component != sender.component) {
-          ++c.dropped_partition;
+          ++counters_.dropped_partition;
           continue;
         }
         if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-          ++c.dropped_directional;
+          ++counters_.dropped_directional;
           continue;
         }
         deliveries[id].push_back(Pending{arrival(), order++, fi});
@@ -486,25 +365,25 @@ void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
       if (target.mac != frame.dst) continue;
       matched = true;
       if (!target.up) {
-        ++c.dropped_nic_down;
+        ++counters_.dropped_nic_down;
       } else if (target.component != sender.component) {
-        ++c.dropped_partition;
+        ++counters_.dropped_partition;
       } else if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-        ++c.dropped_directional;
+        ++counters_.dropped_directional;
       } else {
         deliveries[id].push_back(Pending{arrival(), order++, fi});
       }
       break;
     }
-    if (!matched) ++c.dropped_no_target;
+    if (!matched) ++counters_.dropped_no_target;
   }
 
   // Phase 2: one event per receiver at its batch's LAST arrival, handing
   // frames over in (arrival, draw order) — the (time, seq) order the
-  // scheduler would have delivered the per-frame events in. The event runs
-  // on the receiver's shard; deliver_now re-checks liveness per frame,
-  // since the receiver may go down from within an earlier frame's handler,
-  // exactly as it could between two unbatched delivery events.
+  // scheduler would have delivered the per-frame events in. deliver_now
+  // re-checks liveness per frame, since the receiver may go down from
+  // within an earlier frame's handler, exactly as it could between two
+  // unbatched delivery events.
   for (auto& [to, list] : deliveries) {
     std::sort(list.begin(), list.end(),
               [](const Pending& a, const Pending& b) {
@@ -514,10 +393,10 @@ void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
     std::vector<Frame> batch;
     batch.reserve(list.size());
     for (const Pending& p : list) batch.push_back(frames[p.frame]);
-    schedule_delivery(from, to, list.back().when,
-                      [this, to, batch = std::move(batch)]() mutable {
-                        for (Frame& f : batch) deliver_now(to, std::move(f));
-                      });
+    sched_.schedule_at(list.back().when,
+                       [this, to, batch = std::move(batch)]() mutable {
+                         for (Frame& f : batch) deliver_now(to, std::move(f));
+                       });
   }
 }
 

@@ -27,10 +27,6 @@
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
-namespace wam::sim {
-class ShardSet;
-}
-
 namespace wam::net {
 
 using SegmentId = int;
@@ -142,46 +138,9 @@ class Fabric {
   /// asker genuinely cannot hear never counts as a duplicate.
   [[nodiscard]] bool address_in_use(NicId asking, Ipv4Address ip) const;
 
-  [[nodiscard]] const FabricCounters& counters() const {
-    fold_shard_counters();
-    return counters_;
-  }
-  void set_tap(TapFn tap) {
-    WAM_EXPECTS(shards_ == nullptr);  // taps would race shard threads
-    tap_ = std::move(tap);
-  }
+  [[nodiscard]] const FabricCounters& counters() const { return counters_; }
+  void set_tap(TapFn tap) { tap_ = std::move(tap); }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
-
-  // ---- sharded engine hookup (conservative PDES, sim/shard.hpp) ----
-  /// Route deliveries through a ShardSet: every NIC is placed on a shard
-  /// (assign_shard, default 0), sends draw loss/jitter from a per-NIC
-  /// sender-side RNG stream — so the draw sequence depends only on the
-  /// sender's own transmit order, never on shard count — and arrivals
-  /// whose sender and receiver live on different shards cross at the
-  /// barrier via ShardSet::post. Requirements: call before traffic flows,
-  /// every segment's base latency >= the shard lookahead (the conservative
-  /// guarantee), and no tap installed. A 1-shard set IS the sequential
-  /// engine — the oracle the equivalence tests compare against.
-  void set_sharding(sim::ShardSet& shards);
-  [[nodiscard]] bool sharded() const { return shards_ != nullptr; }
-  /// Place a NIC on a shard. Quiesced-only (between run_until calls).
-  void assign_shard(NicId nic, int shard);
-  [[nodiscard]] int shard_of(NicId nic) const;
-  /// Merge per-shard counter deltas into the bound counters_ view (and
-  /// thus the metric registry). Quiesced-only; counters() calls it, and
-  /// sharded scenarios call it after each advance so registry queries see
-  /// fresh values.
-  void fold_shard_counters() const;
-
-  /// Per-NIC delivery journal for the sequential-vs-sharded equivalence
-  /// tests: every frame actually handed to a NIC, with its arrival time
-  /// and a payload digest. Off by default (costs a hash per delivery).
-  struct DeliveryRecord {
-    sim::TimePoint when{};
-    std::uint64_t digest = 0;
-  };
-  void set_record_deliveries(bool on) { record_deliveries_ = on; }
-  [[nodiscard]] const std::vector<DeliveryRecord>& deliveries(NicId nic) const;
 
   /// Route frame metrics and partition fault events through a shared
   /// observability context; convention for `scope`: "net".
@@ -204,44 +163,22 @@ class Fabric {
 
   const Nic& nic(NicId id) const;
   Nic& nic(NicId id);
-  void deliver_later(const Segment& seg, NicId from, NicId to, Frame frame);
+  void deliver_later(const Segment& seg, NicId to, Frame frame);
   /// Hand `frame` to `to` right now (the body of every delivery event):
-  /// re-checks liveness, bumps the receiver-side counters, journals.
+  /// re-checks liveness and bumps the receiver-side counters.
   void deliver_now(NicId to, Frame frame);
-  /// Schedule `fn` at `when` on the receiver's shard: directly when sender
-  /// and receiver share a shard (or sharding is off), via the barrier
-  /// otherwise.
-  void schedule_delivery(NicId from, NicId to, sim::TimePoint when,
-                         util::SmallFn fn);
-  /// The scheduler a NIC's events run on (its shard's, or sched_).
-  [[nodiscard]] sim::Scheduler& sched_of(NicId id);
-  /// Sender-side RNG: the per-NIC stream when sharded, else the shared one.
-  [[nodiscard]] sim::Rng& tx_rng(NicId sender);
-  /// Counter sink for work done on a NIC's shard thread.
-  [[nodiscard]] FabricCounters& ctrs(NicId id);
 
   sim::Scheduler& sched_;
   sim::Logger log_;
   sim::Rng rng_;
-  std::uint64_t seed_;
   std::vector<Segment> segments_;
   std::vector<Nic> nics_;
-  mutable FabricCounters counters_;
+  FabricCounters counters_;
   TapFn tap_;
   std::uint16_t next_mac_ = 1;
   std::set<std::pair<NicId, NicId>> blocked_;  // (from, to) one-way faults
   obs::Observability* obs_ = nullptr;
   std::string obs_scope_;
-
-  sim::ShardSet* shards_ = nullptr;
-  std::vector<int> nic_shard_;      // shard of each NIC (sharded mode)
-  std::vector<sim::Rng> nic_rng_;   // per-NIC sender-side streams
-  /// Written by each shard's own thread during a window (obs::Counter is
-  /// not atomic, so the shared counters_ view cannot be touched there);
-  /// folded into counters_ at quiesce points.
-  mutable std::vector<FabricCounters> shard_counters_;
-  bool record_deliveries_ = false;
-  std::vector<std::vector<DeliveryRecord>> journal_;  // per NIC
 };
 
 }  // namespace wam::net

@@ -19,18 +19,6 @@ void Scheduler::run_until(TimePoint deadline) {
   if (now_ < deadline) now_ = deadline;
 }
 
-void Scheduler::run_until_exclusive(TimePoint end) {
-  while (!heap_.empty()) {
-    if (!entry_live(heap_.front())) {
-      pop_entry();
-      continue;
-    }
-    if (heap_.front().when >= end) break;
-    step();
-  }
-  if (now_ < end) now_ = end;
-}
-
 void Scheduler::run_all() {
   while (step()) {
   }

@@ -71,11 +71,6 @@ class Scheduler {
   /// Run events until the queue is empty or the virtual clock would pass
   /// `deadline`. The clock ends at min(deadline, last event time).
   void run_until(TimePoint deadline);
-  /// Like run_until, but events at exactly `end` do NOT run; the clock is
-  /// left at `end`. This is the window primitive of the sharded engine
-  /// (sim/shard.hpp): a lookahead window [start, end) owns the half-open
-  /// interval, and the next window's run picks up the boundary events.
-  void run_until_exclusive(TimePoint end);
   /// Run for a span of virtual time from now().
   void run_for(Duration span) { run_until(now_ + span); }
   /// Drain every queued event (careful with self-rearming timers).

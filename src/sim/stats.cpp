@@ -43,25 +43,6 @@ const std::vector<double>& Stats::sorted() const {
   return sorted_;
 }
 
-void Stats::merge(const Stats& other) {
-  if (other.empty()) return;
-  const bool this_view_ok = sorted_valid_ || samples_.empty();
-  const bool other_view_ok = other.sorted_valid_;
-  if (this_view_ok && other_view_ok) {
-    const std::vector<double>& mine = sorted_valid_ ? sorted_ : samples_;
-    std::vector<double> merged;
-    merged.resize(mine.size() + other.sorted_.size());
-    std::merge(mine.begin(), mine.end(), other.sorted_.begin(),
-               other.sorted_.end(), merged.begin());
-    sorted_ = std::move(merged);
-    sorted_valid_ = true;
-  } else {
-    sorted_valid_ = false;
-  }
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-}
-
 double Stats::percentile(double p) const {
   WAM_EXPECTS(!empty());
   WAM_EXPECTS(p >= 0.0 && p <= 100.0);

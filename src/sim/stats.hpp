@@ -32,12 +32,6 @@ class Stats {
   [[nodiscard]] double quantile(double q) const { return percentile(q * 100.0); }
   [[nodiscard]] double median() const { return percentile(50); }
 
-  /// Fold another accumulator into this one (per-shard / per-trial stats
-  /// merged into a sweep total). When both sides already hold a valid
-  /// sorted view the merged view is rebuilt with one linear std::merge
-  /// instead of being invalidated and re-sorted from scratch.
-  void merge(const Stats& other);
-
   /// "n=12 mean=2.41 min=2.02 max=2.91 p50=2.40" (values in the sample unit).
   [[nodiscard]] std::string summary() const;
 

@@ -5,6 +5,9 @@
 // implementations in balance.cpp must reproduce these decisions
 // byte-for-byte on every input.
 //
+// Not part of libwam: balance_legacy.cpp is compiled only into those two
+// targets (wam_balance_equivalence_test and bench_micro_core).
+//
 // Do not optimise this file. Its value is that it stays the simple,
 // obviously-correct O(V*M) formulation of the paper's procedures.
 #pragma once

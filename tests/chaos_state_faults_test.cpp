@@ -1,8 +1,8 @@
 // The self-stabilization chaos campaign (--state-faults): schedule
 // generation, DSL round-trip (including the `audit` directive the replay
 // artifact needs to heal), the ReconvergenceOracle, the corruption ×
-// quarantine interaction, deterministic replay, and sequential vs sharded
-// byte-identity. See docs/CHAOS.md §state-faults.
+// quarantine interaction, deterministic replay and the pinned ghost-member
+// regression. See docs/CHAOS.md §state-faults.
 #include <gtest/gtest.h>
 
 #include "apps/scenario.hpp"
@@ -101,20 +101,20 @@ TEST(StateFaultCampaign, PinnedSeedsStayClean) {
   }
 }
 
-TEST(StateFaultCampaign, Seed45GhostMemberRegression) {
-  // Seed 45 under --shards 4: a wackamole resync (fresh-incarnation
-  // leave+join, sequenced but not yet delivered at the resyncing server's
-  // own GCS daemon) raced a view install. The merge's per-daemon
-  // authoritativeness filter preferred that daemon's stale table entry,
-  // resurrecting the dead incarnation as a ghost group member nobody could
-  // ever hear a STATE_MSG from — all five wackamoles wedged in GATHER for
-  // the rest of the run. Fixed by re-applying the install's sync-cut
-  // join/leave controls to the merged table (gcs::Daemon::install_view).
+TEST(StateFaultCampaign, Seed119GhostMemberRegression) {
+  // A wackamole resync (fresh-incarnation leave+join, sequenced but not yet
+  // delivered at the resyncing server's own GCS daemon) races a view
+  // install. The merge's per-daemon authoritativeness filter used to prefer
+  // that daemon's stale table entry, resurrecting the dead incarnation as a
+  // ghost group member nobody could ever hear a STATE_MSG from — every
+  // wackamole wedged in GATHER for the rest of the run. Fixed by
+  // re-applying the install's sync-cut join/leave controls to the merged
+  // table (gcs::Daemon::install_view); without that loop this seed reports
+  // 19 violations (seeds 216, 232 and 276 fail without it too).
   CampaignOptions opt;
   opt.generator.state_faults = true;
   opt.shrink = false;
-  opt.shards = 4;
-  auto r = run_seed(45, Profile::kCluster, opt);
+  auto r = run_seed(119, Profile::kCluster, opt);
   EXPECT_TRUE(r.passed()) << to_string(r.violations.front());
 }
 
@@ -131,31 +131,6 @@ TEST(StateFaultCampaign, MeasuresReconvergenceWindows) {
     // resync backoff: anything past 10 s means the oracle lost track.
     EXPECT_LE(ms, 10'000.0);
   }
-}
-
-TEST(StateFaultCampaign, ShardedReplayIsByteIdentical) {
-  // Same contract as ChaosShard.SeededRunMatchesSequentialEngineByteForByte:
-  // shards=1 IS the sequential oracle (PR 7), and shards=N must reproduce
-  // its corruption timeline byte-exact. The legacy engine (shards=0) draws
-  // fabric jitter from a differently-derived stream, so it is only held to
-  // verdict agreement.
-  CampaignOptions opt;
-  opt.generator.state_faults = true;
-  opt.shrink = false;
-  auto legacy = run_seed(7, Profile::kCluster, opt);
-
-  opt.shards = 1;
-  auto oracle = run_seed(7, Profile::kCluster, opt);
-
-  opt.shards = 4;
-  auto sharded = run_seed(7, Profile::kCluster, opt);
-
-  ASSERT_FALSE(oracle.timeline_json.empty());
-  EXPECT_EQ(oracle.timeline_json, sharded.timeline_json);
-  EXPECT_EQ(oracle.dsl, sharded.dsl);
-  EXPECT_EQ(oracle.passed(), sharded.passed());
-  EXPECT_EQ(legacy.passed(), sharded.passed());
-  EXPECT_EQ(legacy.reconvergence_ms.size(), sharded.reconvergence_ms.size());
 }
 
 // ---------------------------------------- corruption x quarantine fence ----

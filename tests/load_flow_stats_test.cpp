@@ -1,14 +1,10 @@
-// FlowStats pins: 64-bit bucket math, failover-window edge clamping, and
-// the shard-merge path (set_origin grid pinning + merge exactness against
-// a single-stream reference).
+// FlowStats pins: 64-bit bucket math, grid anchoring at the first recorded
+// request, failover-window edge clamping and mark ordering.
 #include "load/flow_stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
-
-#include "util/assert.hpp"
 
 namespace wam::load {
 namespace {
@@ -37,8 +33,7 @@ TEST(FlowStats, FailoverWindowClampsAtOrigin) {
   // "before" side at the grid origin instead of reaching into negative
   // time (where the int-truncated math used to misfile buckets).
   FlowStats stats(sim::milliseconds(100));
-  stats.set_origin(at_ms(0));
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 10; ++i) {  // the first offer anchors the grid at 0
     stats.on_offered(at_ms(i * 100));
     stats.on_response(at_ms(i * 100), sim::milliseconds(2));
   }
@@ -50,23 +45,24 @@ TEST(FlowStats, FailoverWindowClampsAtOrigin) {
   EXPECT_EQ(windows.front().offered_after, 7u);
 }
 
-TEST(FlowStats, SetOriginPinsTheGrid) {
+TEST(FlowStats, FirstOfferPinsTheGrid) {
   FlowStats stats(sim::milliseconds(100));
-  stats.set_origin(at_ms(500));
+  stats.on_offered(at_ms(500));
   stats.on_offered(at_ms(730));
   ASSERT_EQ(stats.timeline().size(), 3u);
   EXPECT_EQ(stats.timeline()[0].start, at_ms(500));
   EXPECT_EQ(stats.timeline()[2].start, at_ms(700));
+  EXPECT_EQ(stats.timeline()[0].offered, 1u);
   EXPECT_EQ(stats.timeline()[2].offered, 1u);
 }
 
-TEST(FlowStats, MarkEventBeforeSetOriginIsWellDefined) {
-  // A fail-over can be marked before the grid origin is pinned (the
-  // scenario wires its fault hooks before the generator starts); the mark
-  // must not disturb the grid and must still clamp at the origin.
+TEST(FlowStats, MarkEventBeforeFirstOfferIsWellDefined) {
+  // A fail-over can be marked before the first request anchors the grid
+  // (the scenario wires its fault hooks before the generator starts); the
+  // mark must not disturb the grid and must still clamp at the origin.
   FlowStats stats(sim::milliseconds(100));
   stats.mark_event(at_ms(300), "early fault");
-  stats.set_origin(at_ms(0));
+  EXPECT_TRUE(stats.timeline().empty());
   for (int i = 0; i < 10; ++i) {
     stats.on_offered(at_ms(i * 100));
     stats.on_response(at_ms(i * 100), sim::milliseconds(2));
@@ -80,7 +76,6 @@ TEST(FlowStats, MarkEventBeforeSetOriginIsWellDefined) {
 
 TEST(FlowStats, MarkEventsSortStablyAndSkipExactDuplicates) {
   FlowStats stats(sim::milliseconds(100));
-  stats.set_origin(at_ms(0));
   stats.on_offered(at_ms(10));
   stats.mark_event(at_ms(500), "b");
   stats.mark_event(at_ms(200), "a");   // out of order: sorted in front
@@ -91,114 +86,6 @@ TEST(FlowStats, MarkEventsSortStablyAndSkipExactDuplicates) {
   EXPECT_EQ(windows[0].label, "a");
   EXPECT_EQ(windows[1].label, "b");
   EXPECT_EQ(windows[2].label, "c");
-}
-
-/// Feed the same request timeline either into one FlowStats or split
-/// round-robin over `ways` instances that are then merged; every derived
-/// statistic must agree exactly.
-struct Record {
-  std::int64_t ms;
-  int kind;  // 0=offered 1=response 2=lost 3=retry
-  std::int64_t rtt_us;
-};
-
-std::vector<Record> sample_timeline() {
-  std::vector<Record> recs;
-  for (int i = 0; i < 400; ++i) {
-    const std::int64_t t = 10 + i * 7;
-    recs.push_back({t, 0, 0});
-    if (i % 5 == 4) {
-      recs.push_back({t + 40, 2, 0});  // one in five lost
-    } else {
-      recs.push_back({t + 3, 1, 900 + (i % 17) * 110});
-    }
-    if (i % 11 == 0) recs.push_back({t + 20, 3, 0});
-  }
-  return recs;
-}
-
-void apply(FlowStats& stats, const Record& r) {
-  switch (r.kind) {
-    case 0: stats.on_offered(at_ms(r.ms)); break;
-    case 1:
-      stats.on_response(at_ms(r.ms), sim::microseconds(r.rtt_us));
-      break;
-    case 2: stats.on_lost(at_ms(r.ms)); break;
-    default: stats.on_retry(at_ms(r.ms)); break;
-  }
-}
-
-TEST(FlowStatsMerge, ShardedMergeMatchesSingleStream) {
-  const auto recs = sample_timeline();
-  FlowStats single(sim::milliseconds(100));
-  single.set_origin(at_ms(0));
-  single.mark_event(at_ms(1500), "fault");
-  for (const auto& r : recs) apply(single, r);
-
-  for (int ways = 2; ways <= 4; ++ways) {
-    std::vector<FlowStats> parts(static_cast<std::size_t>(ways),
-                                 FlowStats(sim::milliseconds(100)));
-    for (auto& p : parts) p.set_origin(at_ms(0));
-    parts[0].mark_event(at_ms(1500), "fault");
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-      apply(parts[i % static_cast<std::size_t>(ways)], recs[i]);
-    }
-    FlowStats merged = parts[0];
-    for (int w = 1; w < ways; ++w) merged.merge(parts[static_cast<std::size_t>(w)]);
-
-    EXPECT_EQ(merged.offered(), single.offered()) << ways;
-    EXPECT_EQ(merged.answered(), single.answered()) << ways;
-    EXPECT_EQ(merged.lost(), single.lost()) << ways;
-    EXPECT_EQ(merged.retries(), single.retries()) << ways;
-    EXPECT_DOUBLE_EQ(merged.availability(), single.availability()) << ways;
-    EXPECT_DOUBLE_EQ(merged.effective_downtime_seconds(),
-                     single.effective_downtime_seconds())
-        << ways;
-    EXPECT_EQ(merged.longest_response_gap(), single.longest_response_gap())
-        << ways;
-    ASSERT_EQ(merged.timeline().size(), single.timeline().size()) << ways;
-    for (std::size_t b = 0; b < merged.timeline().size(); ++b) {
-      EXPECT_EQ(merged.timeline()[b].start, single.timeline()[b].start);
-      EXPECT_EQ(merged.timeline()[b].offered, single.timeline()[b].offered);
-      EXPECT_EQ(merged.timeline()[b].answered, single.timeline()[b].answered);
-      EXPECT_EQ(merged.timeline()[b].lost, single.timeline()[b].lost);
-      EXPECT_EQ(merged.timeline()[b].retries, single.timeline()[b].retries);
-    }
-    auto mw = merged.failover_windows(sim::seconds(1.0));
-    auto sw = single.failover_windows(sim::seconds(1.0));
-    ASSERT_EQ(mw.size(), sw.size());
-    EXPECT_EQ(mw.front().offered_before, sw.front().offered_before);
-    EXPECT_EQ(mw.front().offered_after, sw.front().offered_after);
-    EXPECT_EQ(mw.front().lost_after, sw.front().lost_after);
-    EXPECT_DOUBLE_EQ(mw.front().p99_before, sw.front().p99_before);
-    EXPECT_DOUBLE_EQ(mw.front().p99_after, sw.front().p99_after);
-  }
-}
-
-TEST(FlowStatsMerge, RebasesLaterOriginOntoEarlierGrid) {
-  FlowStats a(sim::milliseconds(100));
-  a.set_origin(at_ms(300));  // later origin, will be rebased
-  a.on_offered(at_ms(450));
-  FlowStats b(sim::milliseconds(100));
-  b.set_origin(at_ms(0));
-  b.on_offered(at_ms(50));
-  a.merge(b);
-  ASSERT_GE(a.timeline().size(), 5u);
-  EXPECT_EQ(a.timeline()[0].start, at_ms(0));
-  EXPECT_EQ(a.timeline()[0].offered, 1u);   // b's early request
-  EXPECT_EQ(a.timeline()[4].start, at_ms(400));
-  EXPECT_EQ(a.timeline()[4].offered, 1u);   // a's request, kept in place
-  EXPECT_EQ(a.offered(), 2u);
-}
-
-TEST(FlowStatsMerge, MisalignedGridsAreRejected) {
-  FlowStats a(sim::milliseconds(100));
-  a.set_origin(at_ms(0));
-  a.on_offered(at_ms(10));
-  FlowStats b(sim::milliseconds(100));
-  b.set_origin(at_ms(150));  // half a bucket off a's grid
-  b.on_offered(at_ms(160));
-  EXPECT_THROW(a.merge(b), util::ContractViolation);
 }
 
 }  // namespace
