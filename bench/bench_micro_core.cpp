@@ -113,10 +113,20 @@ struct Frame {
   util::Bytes payload;
 };
 
+/// Pre-fast-path string-form STATE_MSG (wire v1, since retired).
+struct StateMsg {
+  wam::wackamole::ViewTag view;
+  bool mature = false;
+  std::uint32_t weight = 1;
+  std::vector<std::string> owned;
+  std::vector<std::string> preferred;
+  std::vector<std::string> quarantined;
+};
+
 /// Pre-fast-path STATE_MSG encoder: the wire v1 layout exactly as
 /// encode_state() emitted it before the exact-capacity reserve, growing
 /// the writer's buffer through vector reallocation as names append.
-util::Bytes encode_state(const wam::wackamole::StateMsg& m) {
+util::Bytes encode_state(const StateMsg& m) {
   util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(wam::wackamole::WamMsgType::kState));
   w.u64(m.view.epoch);
@@ -211,7 +221,9 @@ void BM_BalanceIps(benchmark::State& state) {
   wackamole::GroupSet set(groups);
   auto states = wackamole::to_member_states(set, members);
   wackamole::VipTable table;
-  for (const auto& g : groups) table.set_owner(g, members[0].id);
+  for (const auto& g : groups) {
+    table.set_owner(wackamole::intern_group(g), members[0].id);
+  }
   for (auto _ : state) {
     auto a = wackamole::balance_ips_fast(set, table, states);
     benchmark::DoNotOptimize(a);
@@ -229,7 +241,9 @@ void BM_BalanceIpsLegacy(benchmark::State& state) {
   auto groups = make_groups(static_cast<int>(state.range(0)));
   auto members = make_members(static_cast<int>(state.range(1)));
   wackamole::VipTable table;
-  for (const auto& g : groups) table.set_owner(g, members[0].id);
+  for (const auto& g : groups) {
+    table.set_owner(wackamole::intern_group(g), members[0].id);
+  }
   for (auto _ : state) {
     auto a = wackamole::legacy_balance_ips(groups, table, members);
     benchmark::DoNotOptimize(a);
@@ -249,8 +263,12 @@ void BM_ResolveConflictClaims(benchmark::State& state) {
   view.members = {member(0), member(1)};
   for (auto _ : state) {
     wackamole::VipTable table;
-    for (const auto& g : groups) table.claim(g, member(0), view);
-    for (const auto& g : groups) table.claim(g, member(1), view);
+    for (const auto& g : groups) {
+      table.claim(wackamole::intern_group(g), member(0), view);
+    }
+    for (const auto& g : groups) {
+      table.claim(wackamole::intern_group(g), member(1), view);
+    }
     benchmark::DoNotOptimize(table);
   }
   state.SetItemsProcessed(state.iterations() * 128);
@@ -327,7 +345,7 @@ void BM_StateEncodeLegacy(benchmark::State& state) {
   WireFixture fx(static_cast<int>(state.range(0)));
   const wackamole::ViewTag tag{42, 0x0a000001, 7};
   for (auto _ : state) {
-    wackamole::StateMsg m;
+    legacy::StateMsg m;
     m.view = tag;
     m.mature = true;
     m.weight = 1;
@@ -343,8 +361,8 @@ void BM_StateEncodeLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_StateEncodeLegacy)->Arg(256)->Arg(1024)->Arg(4096);
 
-// Informative decode-side twin: v2 decoding interns each table name once
-// and reads varint indices; v1 decoding re-allocates every string.
+// Informative decode-side twin: decoding interns each table name once and
+// reads varint indices.
 void BM_StateDecode(benchmark::State& state) {
   WireFixture fx(static_cast<int>(state.range(0)));
   wackamole::StateMsgV2 m;
@@ -363,37 +381,6 @@ void BM_StateDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateDecode)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_StateDecodeLegacy(benchmark::State& state) {
-  WireFixture fx(static_cast<int>(state.range(0)));
-  wackamole::StateMsg m;
-  m.view = wackamole::ViewTag{42, 0x0a000001, 7};
-  m.mature = true;
-  m.owned = fx.owned;
-  m.preferred = fx.preferred;
-  m.quarantined = std::vector<std::string>(fx.quarantined_set.begin(),
-                                           fx.quarantined_set.end());
-  auto bytes = wackamole::encode_state(m);
-  for (auto _ : state) {
-    auto decoded = wackamole::decode_state(bytes);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_StateDecodeLegacy)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_StateMsgCodec(benchmark::State& state) {
-  wackamole::StateMsg m;
-  m.view = wackamole::ViewTag{42, 1, 7};
-  m.mature = true;
-  for (int i = 0; i < 32; ++i) m.owned.push_back("vip-" + std::to_string(i));
-  for (auto _ : state) {
-    auto bytes = wackamole::encode_state(m);
-    auto decoded = wackamole::decode_state(bytes);
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-BENCHMARK(BM_StateMsgCodec);
 
 void BM_GcsDataCodec(benchmark::State& state) {
   gcs::DataMessage d;

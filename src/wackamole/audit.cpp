@@ -59,10 +59,12 @@ std::vector<AuditFinding> StateAuditor::audit(const Daemon& daemon) {
     }
   }
 
-  for (const auto& name : daemon.quarantined_groups()) {
-    if (daemon.config().find_group(name) == nullptr) {
-      out.push_back({AuditCheck::kQuarantineUnknown, name,
-                     "quarantined group is not configured"});
+  const auto configured = daemon.config().vip_groups.size();
+  for (auto pos : daemon.quarantined_positions()) {
+    if (pos >= configured) {
+      out.push_back({AuditCheck::kQuarantineUnknown, "",
+                     "quarantined position " + std::to_string(pos) +
+                         " is not a configured group"});
     }
   }
   return out;

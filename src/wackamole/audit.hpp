@@ -28,7 +28,7 @@ enum class AuditCheck {
   kViewTag,
   /// A table entry names an owner that is not a member of the view.
   kOwnerNotInView,
-  /// The quarantine set names a group that is not configured.
+  /// The quarantine set holds a position outside the configured groups.
   kQuarantineUnknown,
 };
 

@@ -113,7 +113,7 @@ std::map<std::string, gcs::MemberId> legacy_balance_ips(
   std::vector<std::string> homeless;
   std::map<gcs::MemberId, std::vector<std::string>> held;
   for (const auto& group : all_groups) {
-    auto owner = table.owner(group);
+    auto owner = table.owner(intern_group(group));
     // The current owner keeps the group only if it is mature and not
     // quarantined for it — a fenced holder cannot enforce the binding, so
     // the group re-enters placement like any other homeless group.

@@ -127,12 +127,6 @@ Config parse_config(const std::string& text) {
                                                      const auto&) {
             fail(n, l, "RepresentativeDriven must be yes/no");
           });
-    } else if (key == "compactwire") {
-      config.compact_wire =
-          conf::parse_bool(value, line_no, line, [&](int n, const auto& l,
-                                                     const auto&) {
-            fail(n, l, "CompactWire must be yes/no");
-          });
     } else if (key == "acquireretries") {
       config.acquire_retry_limit =
           conf::parse_int(value, line_no, line, [&](int n, const auto& l,
@@ -203,7 +197,6 @@ std::string render_config(const Config& config) {
   out << "Announce = " << sim::to_seconds(config.announce_interval) << "s\n";
   out << "RepresentativeDriven = "
       << (config.representative_driven ? "yes" : "no") << "\n";
-  out << "CompactWire = " << (config.compact_wire ? "yes" : "no") << "\n";
   out << "AcquireRetries = " << config.acquire_retry_limit << "\n";
   out << "AcquireBackoff = " << sim::to_seconds(config.acquire_backoff)
       << "s\n";

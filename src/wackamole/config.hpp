@@ -60,11 +60,6 @@ struct Config {
   /// process." When true, Reallocate_IPs() runs only at the representative,
   /// whose ALLOC_MSG carries the full assignment to everyone else.
   bool representative_driven = false;
-  /// Encode STATE/BALANCE/ALLOC with the compact v2 wire format (wire
-  /// format v2: per-message name table, varint counts, interned indices).
-  /// Decoding accepts both formats regardless, so a mixed cluster works;
-  /// turn this off to interoperate with peers that predate v2.
-  bool compact_wire = true;
 
   // ---- Fallible enforcement layer (OS-op retry / self-fence) ----
   /// Failed acquire attempts tolerated per group before self-fencing

@@ -173,8 +173,11 @@ class Daemon {
   /// Groups this daemon has self-fenced (NOTIFY protocol): their OS-level
   /// acquisition kept failing and a peer is expected to cover them. Sorted.
   [[nodiscard]] std::vector<std::string> quarantined_groups() const;
-  [[nodiscard]] bool quarantined(const std::string& group) const {
-    return quarantined_.count(group) > 0;
+  [[nodiscard]] bool quarantined(const std::string& group) const;
+  /// The same set as positions in config().group_names(); the
+  /// StateAuditor range-checks it.
+  [[nodiscard]] const std::set<std::uint32_t>& quarantined_positions() const {
+    return quarantined_;
   }
   [[nodiscard]] const WamCounters& counters() const { return counters_; }
   [[nodiscard]] const Config& config() const { return config_; }
@@ -212,26 +215,29 @@ class Daemon {
   void handle_notify(const gcs::MemberId& sender, const NotifyMsg& m);
   void finish_gather();
   void send_state_msg();
-  /// Multicast `table` as a BALANCE (or ALLOC) message in group-name order,
-  /// honouring Config::compact_wire. Returns the number of entries sent.
+  /// Multicast `table` as a BALANCE (or ALLOC) message in group-name order.
+  /// Returns the number of entries sent.
   std::size_t multicast_allocation(const VipTable& table, bool alloc);
-  void send_notify(const std::string& group, bool fenced,
-                   const std::string& reason);
-  void acquire_group(const std::string& name);
-  void release_group(const std::string& name);
+  /// Position in groups_ of a configured group name; nullopt otherwise.
+  [[nodiscard]] std::optional<std::uint32_t> position_of(
+      const std::string& name) const;
+  // Enforcement is keyed by position in groups_ (name order); names
+  // reappear only for the ip_manager, logs, events and NOTIFY.
+  void send_notify(std::uint32_t pos, bool fenced, const std::string& reason);
+  void acquire_group(std::uint32_t pos);
+  void release_group(std::uint32_t pos);
   void release_everything(const char* cause);
   // ---- Fallible enforcement: retry / backoff / self-fence ----
   /// Delay before the n-th retry (n = failed attempts so far): exponential
   /// from Config::acquire_backoff, capped, with multiplicative jitter.
   [[nodiscard]] sim::Duration backoff_delay(int failed_attempts);
-  void schedule_acquire_retry(const std::string& name,
-                              const OsOpResult& result);
-  void acquire_retry_tick(const std::string& name);
-  void schedule_release_retry(const std::string& name);
-  void release_retry_tick(const std::string& name);
-  void fence_group(const std::string& name, const std::string& reason);
-  void arm_cooldown(const std::string& name);
-  void cooldown_tick(const std::string& name);
+  void schedule_acquire_retry(std::uint32_t pos, const OsOpResult& result);
+  void acquire_retry_tick(std::uint32_t pos);
+  void schedule_release_retry(std::uint32_t pos);
+  void release_retry_tick(std::uint32_t pos);
+  void fence_group(std::uint32_t pos, const std::string& reason);
+  void arm_cooldown(std::uint32_t pos);
+  void cooldown_tick(std::uint32_t pos);
   /// Run Reallocate_IPs() over the current holes and act on the result
   /// (deterministically everywhere, or via ALLOC from the representative).
   void reallocate_holes(const char* mode);
@@ -277,12 +283,13 @@ class Daemon {
   ViewTag view_tag_;
   VipTable table_;
   /// The configured VIP set in dense positional form (built once — the
-  /// group list is fixed for the daemon's lifetime). All protocol-layer
-  /// work runs on interned ids/positions; names reappear only at the
-  /// ip_manager/log boundary.
+  /// group list is fixed for the daemon's lifetime). All protocol and
+  /// enforcement work runs on interned ids/positions; names reappear only
+  /// at the ip_manager/log/NOTIFY boundary.
   GroupSet groups_;
-  std::vector<GroupId> config_ids_;     // vip_groups order
-  std::vector<GroupId> preferred_ids_;  // config_.preferred order
+  std::vector<const VipGroup*> group_of_;   // position -> config entry
+  std::vector<std::uint32_t> config_pos_;   // positions in vip_groups order
+  std::vector<GroupId> preferred_ids_;      // config_.preferred order
   std::set<gcs::MemberId> received_;    // STATE_MSG senders this GATHER
   struct PeerInfo {
     bool mature = false;
@@ -292,15 +299,16 @@ class Daemon {
   };
   std::map<gcs::MemberId, PeerInfo> info_;
 
-  /// Per-group OS-op retry state (acquire and release paths).
+  /// Per-group OS-op retry state (acquire and release paths), keyed by
+  /// position: ordered containers iterate in group-name order.
   struct PendingOp {
     int attempts = 0;  // failed attempts so far
     sim::TimerHandle timer;
   };
-  std::map<std::string, PendingOp> pending_acquires_;
-  std::map<std::string, PendingOp> pending_releases_;
-  std::set<std::string> quarantined_;  // groups we self-fenced
-  std::map<std::string, sim::TimerHandle> cooldown_timers_;
+  std::map<std::uint32_t, PendingOp> pending_acquires_;
+  std::map<std::uint32_t, PendingOp> pending_releases_;
+  std::set<std::uint32_t> quarantined_;  // groups we self-fenced
+  std::map<std::uint32_t, sim::TimerHandle> cooldown_timers_;
   sim::Rng rng_;  // backoff jitter (seeded from the GCS daemon identity)
 
   sim::TimerHandle balance_timer_;

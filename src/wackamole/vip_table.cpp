@@ -26,21 +26,10 @@ void VipTable::unlink(GroupId id, const gcs::MemberId& member) {
   if (it->second.empty()) members_.erase(it);
 }
 
-std::optional<gcs::MemberId> VipTable::owner(const std::string& group) const {
-  auto id = find_group_id(group);
-  if (!id) return std::nullopt;  // never interned => never owned anywhere
-  return owner(*id);
-}
-
 std::optional<gcs::MemberId> VipTable::owner(GroupId id) const {
   auto it = owners_.find(id);
   if (it == owners_.end()) return std::nullopt;
   return it->second;
-}
-
-void VipTable::set_owner(const std::string& group,
-                         const gcs::MemberId& member) {
-  set_owner(intern_group(group), member);
 }
 
 void VipTable::set_owner(GroupId id, const gcs::MemberId& member) {
@@ -56,11 +45,6 @@ void VipTable::set_owner(GroupId id, const gcs::MemberId& member) {
   }
   checksum_ ^= entry_hash(id, member);
   link(id, member);
-}
-
-void VipTable::clear_owner(const std::string& group) {
-  auto id = find_group_id(group);
-  if (id) clear_owner(*id);
 }
 
 void VipTable::clear_owner(GroupId id) {
@@ -101,12 +85,6 @@ std::map<std::string, gcs::MemberId> VipTable::owners() const {
   std::map<std::string, gcs::MemberId> out;
   for (const auto& [id, member] : owners_) out.emplace(group_name(id), member);
   return out;
-}
-
-VipTable::ClaimResult VipTable::claim(const std::string& group,
-                                      const gcs::MemberId& claimant,
-                                      const gcs::GroupView& view) {
-  return claim(intern_group(group), claimant, view);
 }
 
 VipTable::ClaimResult VipTable::claim(GroupId id, const gcs::MemberId& claimant,

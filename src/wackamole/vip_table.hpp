@@ -41,13 +41,8 @@ class VipTable {
     checksum_ = 0;
   }
 
-  // ---- Name-keyed API (config-parse / test boundary) ----
-  [[nodiscard]] std::optional<gcs::MemberId> owner(
-      const std::string& group) const;
-  void set_owner(const std::string& group, const gcs::MemberId& member);
-  void clear_owner(const std::string& group);
-
-  // ---- Id-keyed API (the protocol fast path) ----
+  // Entries are keyed by interned GroupId; callers holding a name intern
+  // it at the call site (group_ids.hpp).
   [[nodiscard]] std::optional<gcs::MemberId> owner(GroupId id) const;
   void set_owner(GroupId id, const gcs::MemberId& member);
   void clear_owner(GroupId id);
@@ -81,8 +76,6 @@ class VipTable {
     bool claimed = false;  // claimant holds the group after the call
     std::optional<gcs::MemberId> dropped;
   };
-  ClaimResult claim(const std::string& group, const gcs::MemberId& claimant,
-                    const gcs::GroupView& view);
   ClaimResult claim(GroupId id, const gcs::MemberId& claimant,
                     const gcs::GroupView& view);
 

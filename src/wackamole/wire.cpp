@@ -32,17 +32,6 @@ ViewTag get_tag(util::ByteReader& r) {
   return t;
 }
 
-std::size_t names_size(const std::vector<std::string>& names) {
-  std::size_t total = 4;  // count
-  for (const auto& n : names) total += 4 + n.size();
-  return total;
-}
-
-void put_names(util::ByteWriter& w, const std::vector<std::string>& names) {
-  w.u32(static_cast<std::uint32_t>(names.size()));
-  for (const auto& n : names) w.str(n);
-}
-
 // A count claiming more elements than the remaining bytes could possibly
 // hold is rejected before reserve() turns an attacker-controlled length
 // into a giant allocation (each element is at least `min_entry` bytes).
@@ -54,21 +43,13 @@ std::uint32_t get_count(util::ByteReader& r, std::size_t min_entry) {
   return n;
 }
 
-// Varint-count variant of the same guard for the v2 bodies.
+// Varint-count variant of the same guard for the STATE/BALANCE bodies.
 std::uint64_t get_vcount(util::ByteReader& r, std::size_t min_entry) {
   auto n = r.varint();
   if (n > r.remaining() / min_entry) {
     throw util::DecodeError("implausible element count " + std::to_string(n));
   }
   return n;
-}
-
-std::vector<std::string> get_names(util::ByteReader& r) {
-  auto n = get_count(r, 4);  // each name: u32 length prefix
-  std::vector<std::string> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(r.str());
-  return out;
 }
 
 void check_type(util::ByteReader& r, WamMsgType expected) {
@@ -81,86 +62,7 @@ void check_type(util::ByteReader& r, WamMsgType expected) {
 
 }  // namespace
 
-util::Bytes encode_state(const StateMsg& m) {
-  util::ByteWriter w(1 + kTagSize + 1 + 4 + names_size(m.owned) +
-                     names_size(m.preferred) + names_size(m.quarantined));
-  w.u8(static_cast<std::uint8_t>(WamMsgType::kState));
-  put_tag(w, m.view);
-  w.boolean(m.mature);
-  w.u32(m.weight);
-  put_names(w, m.owned);
-  put_names(w, m.preferred);
-  put_names(w, m.quarantined);
-  return w.take();
-}
-
-StateMsg decode_state(util::ByteView buf) {
-  util::ByteReader r(buf);
-  check_type(r, WamMsgType::kState);
-  StateMsg m;
-  m.view = get_tag(r);
-  m.mature = r.boolean();
-  m.weight = r.u32();
-  m.owned = get_names(r);
-  m.preferred = get_names(r);
-  m.quarantined = get_names(r);
-  r.expect_end();
-  return m;
-}
-
-namespace {
-util::Bytes encode_allocation_body(const BalanceMsg& m, WamMsgType type) {
-  std::size_t size = 1 + kTagSize + 4;
-  for (const auto& [group, owner] : m.allocation) {
-    size += 4 + group.size() + 8;
-  }
-  util::ByteWriter w(size);
-  w.u8(static_cast<std::uint8_t>(type));
-  put_tag(w, m.view);
-  w.u32(static_cast<std::uint32_t>(m.allocation.size()));
-  for (const auto& [group, owner] : m.allocation) {
-    w.str(group);
-    w.u32(owner.first);
-    w.u32(owner.second);
-  }
-  return w.take();
-}
-
-BalanceMsg decode_allocation_body(util::ByteView buf, WamMsgType type) {
-  util::ByteReader r(buf);
-  check_type(r, type);
-  BalanceMsg m;
-  m.view = get_tag(r);
-  auto n = get_count(r, 12);  // name length prefix + two owner u32s
-  m.allocation.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto group = r.str();
-    auto daemon = r.u32();
-    auto client = r.u32();
-    m.allocation.emplace_back(std::move(group), std::make_pair(daemon, client));
-  }
-  r.expect_end();
-  return m;
-}
-}  // namespace
-
-util::Bytes encode_balance(const BalanceMsg& m) {
-  return encode_allocation_body(m, WamMsgType::kBalance);
-}
-
-util::Bytes encode_alloc(const BalanceMsg& m) {
-  return encode_allocation_body(m, WamMsgType::kAlloc);
-}
-
-BalanceMsg decode_balance(util::ByteView buf) {
-  return decode_allocation_body(buf, WamMsgType::kBalance);
-}
-
-BalanceMsg decode_alloc(util::ByteView buf) {
-  return decode_allocation_body(buf, WamMsgType::kAlloc);
-}
-
-// ---- Compact v2 bodies -------------------------------------------------
+// ---- STATE / BALANCE / ALLOC bodies (wire v2) ---------------------------
 //
 // STATE v2: [type][tag][mature][varint weight]
 //           [varint N][N x vstr name]    <- union table, first-appearance
@@ -382,64 +284,6 @@ BalanceMsgV2 decode_balance_v2(util::ByteView buf) {
 
 BalanceMsgV2 decode_alloc_v2(util::ByteView buf) {
   return decode_allocation_body_v2(buf, WamMsgType::kAllocV2);
-}
-
-namespace {
-std::vector<GroupId> intern_all(const std::vector<std::string>& names) {
-  std::vector<GroupId> out;
-  out.reserve(names.size());
-  for (const auto& n : names) out.push_back(intern_group(n));
-  return out;
-}
-
-std::vector<std::string> resolve_all(const std::vector<GroupId>& ids) {
-  std::vector<std::string> out;
-  out.reserve(ids.size());
-  for (auto id : ids) out.push_back(group_name(id));
-  return out;
-}
-}  // namespace
-
-StateMsgV2 to_v2(const StateMsg& m) {
-  StateMsgV2 out;
-  out.view = m.view;
-  out.mature = m.mature;
-  out.weight = m.weight;
-  out.owned = intern_all(m.owned);
-  out.preferred = intern_all(m.preferred);
-  out.quarantined = intern_all(m.quarantined);
-  return out;
-}
-
-StateMsg to_v1(const StateMsgV2& m) {
-  StateMsg out;
-  out.view = m.view;
-  out.mature = m.mature;
-  out.weight = m.weight;
-  out.owned = resolve_all(m.owned);
-  out.preferred = resolve_all(m.preferred);
-  out.quarantined = resolve_all(m.quarantined);
-  return out;
-}
-
-BalanceMsgV2 to_v2(const BalanceMsg& m) {
-  BalanceMsgV2 out;
-  out.view = m.view;
-  out.allocation.reserve(m.allocation.size());
-  for (const auto& [group, owner] : m.allocation) {
-    out.allocation.emplace_back(intern_group(group), owner);
-  }
-  return out;
-}
-
-BalanceMsg to_v1(const BalanceMsgV2& m) {
-  BalanceMsg out;
-  out.view = m.view;
-  out.allocation.reserve(m.allocation.size());
-  for (const auto& [id, owner] : m.allocation) {
-    out.allocation.emplace_back(group_name(id), owner);
-  }
-  return out;
 }
 
 util::Bytes encode_arp_share(const ArpShareMsg& m) {

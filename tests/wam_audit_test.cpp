@@ -26,12 +26,13 @@ gcs::MemberId member(int last, std::uint32_t client) {
 TEST(VipTableGuard, ChecksumAndIndexTrackEveryMutation) {
   VipTable t;
   EXPECT_EQ(t.checksum(), 0u);
-  t.set_owner("vip0", member(1, 1));
-  t.set_owner("vip1", member(2, 2));
+  t.set_owner(intern_group("vip0"), member(1, 1));
+  t.set_owner(intern_group("vip1"), member(2, 2));
   EXPECT_TRUE(t.verify_checksum());
   EXPECT_TRUE(t.verify_index());
-  t.set_owner("vip0", member(2, 2));  // overwrite moves the index entry
-  t.clear_owner("vip1");
+  // Overwriting moves the index entry.
+  t.set_owner(intern_group("vip0"), member(2, 2));
+  t.clear_owner(intern_group("vip1"));
   EXPECT_TRUE(t.verify_checksum());
   EXPECT_TRUE(t.verify_index());
   t.clear();
@@ -41,8 +42,8 @@ TEST(VipTableGuard, ChecksumAndIndexTrackEveryMutation) {
 
 TEST(VipTableGuard, StrayWriteFlipsTheChecksum) {
   VipTable t;
-  t.set_owner("vip0", member(1, 1));
-  t.set_owner("vip1", member(2, 2));
+  t.set_owner(intern_group("vip0"), member(1, 1));
+  t.set_owner(intern_group("vip1"), member(2, 2));
   t.chaos_set_owner_unchecked(intern_group("vip0"), member(9, 9));
   EXPECT_FALSE(t.verify_checksum());
   // The owner map is the recovery root: rebuild() recomputes the derived
@@ -50,13 +51,13 @@ TEST(VipTableGuard, StrayWriteFlipsTheChecksum) {
   t.rebuild();
   EXPECT_TRUE(t.verify_checksum());
   EXPECT_TRUE(t.verify_index());
-  ASSERT_TRUE(t.owner("vip0").has_value());
-  EXPECT_EQ(t.owner("vip0")->daemon, member(9, 9).daemon);
+  ASSERT_TRUE(t.owner(intern_group("vip0")).has_value());
+  EXPECT_EQ(t.owner(intern_group("vip0"))->daemon, member(9, 9).daemon);
 }
 
 TEST(VipTableGuard, IndexDesyncIsDetectedSeparatelyFromTheChecksum) {
   VipTable t;
-  t.set_owner("vip0", member(1, 1));
+  t.set_owner(intern_group("vip0"), member(1, 1));
   // Dropping the indexed entry leaves owners_ (and its checksum) intact —
   // only verify_index() can see this class of drift.
   t.chaos_corrupt_index_entry(intern_group("vip0"), member(9, 9));
@@ -70,7 +71,7 @@ TEST(VipTableGuard, IndexDesyncIsDetectedSeparatelyFromTheChecksum) {
 
 TEST(VipTableGuard, PhantomIndexEntryIsDetected) {
   VipTable t;
-  t.set_owner("vip0", member(1, 1));
+  t.set_owner(intern_group("vip0"), member(1, 1));
   // A never-owned group id: the backdoor inserts a phantom entry.
   t.chaos_corrupt_index_entry(intern_group("vip-phantom"), member(9, 9));
   EXPECT_FALSE(t.verify_index());

@@ -77,9 +77,10 @@ Fuzz make_fuzz(sim::Rng& rng, const Shape& shape) {
   for (const auto& g : f.groups) {
     double roll = rng.uniform();
     if (roll < 0.4) {
-      f.table.set_owner(g, f.members[rng.below(f.members.size())].id);
+      f.table.set_owner(intern_group(g),
+                        f.members[rng.below(f.members.size())].id);
     } else if (roll < 0.5) {
-      f.table.set_owner(g, member(99));  // departed member
+      f.table.set_owner(intern_group(g), member(99));  // departed member
     }
   }
   return f;

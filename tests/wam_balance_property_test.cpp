@@ -48,9 +48,9 @@ Fuzz make_fuzz(sim::Rng& rng) {
     double roll = rng.uniform();
     if (roll < 0.4) {
       f.table.set_owner(
-          g, f.members[rng.below(f.members.size())].id);
+          intern_group(g), f.members[rng.below(f.members.size())].id);
     } else if (roll < 0.5) {
-      f.table.set_owner(g, member(99));  // departed member
+      f.table.set_owner(intern_group(g), member(99));  // departed member
     }
   }
   return f;
@@ -81,7 +81,8 @@ TEST_P(BalanceFuzzTest, ReallocateProperties) {
       }
       EXPECT_TRUE(owner_is_mature_member)
           << g << " assigned to immature/unknown " << owner.to_string();
-      EXPECT_FALSE(f.table.owner(g).has_value()) << g << " was not a hole";
+      EXPECT_FALSE(f.table.owner(intern_group(g)).has_value())
+          << g << " was not a hole";
     }
   }
 }

@@ -49,7 +49,9 @@ TEST(Reallocate, RespectsExistingLoad) {
   VipTable table;
   auto all = groups(6);
   // Member 1 already holds 4 groups; the 2 holes should go to member 2.
-  for (int i = 0; i < 4; ++i) table.set_owner(all[static_cast<std::size_t>(i)], member(1));
+  for (int i = 0; i < 4; ++i) {
+    table.set_owner(intern_group(all[static_cast<std::size_t>(i)]), member(1));
+  }
   auto members = std::vector<MemberInfo>{info(1), info(2)};
   auto assignments = reallocate_ips(all, table, members);
   ASSERT_EQ(assignments.size(), 2u);
@@ -99,7 +101,8 @@ TEST(Balance, ProducesCompleteAllocation) {
   VipTable table;
   auto all = groups(10);
   auto members = std::vector<MemberInfo>{info(1), info(2), info(3)};
-  for (const auto& g : all) table.set_owner(g, member(1));  // all on one
+  // All on one member.
+  for (const auto& g : all) table.set_owner(intern_group(g), member(1));
   auto allocation = balance_ips(all, table, members);
   EXPECT_EQ(allocation.size(), all.size());
 }
@@ -107,7 +110,7 @@ TEST(Balance, ProducesCompleteAllocation) {
 TEST(Balance, LoadsWithinOne) {
   VipTable table;
   auto all = groups(10);
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(intern_group(g), member(1));
   auto members = std::vector<MemberInfo>{info(1), info(2), info(3)};
   auto allocation = balance_ips(all, table, members);
   std::map<gcs::MemberId, std::size_t> load;
@@ -126,11 +129,13 @@ TEST(Balance, MinimizesMovement) {
   auto all = groups(6);
   auto members = std::vector<MemberInfo>{info(1), info(2), info(3)};
   for (int i = 0; i < 6; ++i) {
-    table.set_owner(all[static_cast<std::size_t>(i)], member(1 + i % 3));
+    table.set_owner(intern_group(all[static_cast<std::size_t>(i)]),
+                    member(1 + i % 3));
   }
   auto allocation = balance_ips(all, table, members);
   for (const auto& g : all) {
-    EXPECT_EQ(allocation[g], *table.owner(g)) << g << " moved unnecessarily";
+    EXPECT_EQ(allocation[g], *table.owner(intern_group(g)))
+        << g << " moved unnecessarily";
   }
 }
 
@@ -139,7 +144,7 @@ TEST(Balance, PreferredGroupsStayWithPreferrer) {
   auto all = groups(4);
   // Member 1 holds everything but prefers only g00; rebalance to 2 members
   // must keep g00 on member 1.
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(intern_group(g), member(1));
   auto members =
       std::vector<MemberInfo>{info(1, true, {all[0]}), info(2)};
   auto allocation = balance_ips(all, table, members);
@@ -149,7 +154,7 @@ TEST(Balance, PreferredGroupsStayWithPreferrer) {
 TEST(Balance, ExcludesImmatureMembers) {
   VipTable table;
   auto all = groups(4);
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(intern_group(g), member(1));
   auto members = std::vector<MemberInfo>{info(1), info(2, false)};
   auto allocation = balance_ips(all, table, members);
   for (const auto& g : all) EXPECT_EQ(allocation[g], member(1));
@@ -158,7 +163,7 @@ TEST(Balance, ExcludesImmatureMembers) {
 TEST(Balance, ReassignsGroupsOwnedByDepartedMembers) {
   VipTable table;
   auto all = groups(4);
-  table.set_owner(all[0], member(9));  // not in the member list
+  table.set_owner(intern_group(all[0]), member(9));  // not in the member list
   auto members = std::vector<MemberInfo>{info(1), info(2)};
   auto allocation = balance_ips(all, table, members);
   EXPECT_TRUE(allocation[all[0]] == member(1) ||
@@ -175,7 +180,8 @@ TEST(Balance, DeterministicAcrossCalls) {
   VipTable table;
   auto all = groups(13);
   for (int i = 0; i < 13; ++i) {
-    table.set_owner(all[static_cast<std::size_t>(i)], member(1 + i % 2));
+    table.set_owner(intern_group(all[static_cast<std::size_t>(i)]),
+                    member(1 + i % 2));
   }
   auto members = std::vector<MemberInfo>{info(1), info(2), info(3), info(4)};
   EXPECT_EQ(balance_ips(all, table, members),
@@ -190,13 +196,13 @@ TEST(Balance, DeterministicAcrossCalls) {
 TEST(Balance, OverloadsHealthyMemberBeforeQuarantinedOne) {
   VipTable table;
   auto all = groups(7);
-  table.set_owner(all[0], member(1));
-  table.set_owner(all[1], member(1));
-  table.set_owner(all[2], member(2));
-  table.set_owner(all[6], member(2));
-  table.set_owner(all[3], member(4));
-  table.set_owner(all[4], member(4));
-  table.set_owner(all[5], member(5));
+  table.set_owner(intern_group(all[0]), member(1));
+  table.set_owner(intern_group(all[1]), member(1));
+  table.set_owner(intern_group(all[2]), member(2));
+  table.set_owner(intern_group(all[6]), member(2));
+  table.set_owner(intern_group(all[3]), member(4));
+  table.set_owner(intern_group(all[4]), member(4));
+  table.set_owner(intern_group(all[5]), member(5));
   auto members = std::vector<MemberInfo>{info(1), info(2), info(3), info(4),
                                          info(5)};
   members[2].quarantined = {all[3], all[4]};  // member 3 owns nothing
@@ -213,10 +219,10 @@ TEST(Balance, OverloadsHealthyMemberBeforeQuarantinedOne) {
 TEST(Balance, SuspectMemberGetsNoFreshGroupsWhileHealthyMembersExist) {
   VipTable table;
   auto all = groups(6);
-  table.set_owner(all[0], member(1));
-  table.set_owner(all[1], member(1));
-  table.set_owner(all[2], member(2));
-  table.set_owner(all[3], member(2));
+  table.set_owner(intern_group(all[0]), member(1));
+  table.set_owner(intern_group(all[1]), member(1));
+  table.set_owner(intern_group(all[2]), member(2));
+  table.set_owner(intern_group(all[3]), member(2));
   auto members = std::vector<MemberInfo>{info(1), info(2), info(3)};
   members[2].quarantined = {all[4]};  // fenced for one group, owns nothing
   auto allocation = balance_ips(all, table, members);
@@ -243,12 +249,12 @@ TEST(Balance, ForcedCoverageWhenEveryMemberIsFenced) {
 TEST(LoadImbalance, MeasuresSpread) {
   VipTable table;
   auto all = groups(5);
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(intern_group(g), member(1));
   auto members = std::vector<MemberInfo>{info(1), info(2)};
   EXPECT_EQ(load_imbalance(table, members), 5u);
   auto allocation = balance_ips(all, table, members);
   VipTable balanced;
-  for (const auto& [g, m] : allocation) balanced.set_owner(g, m);
+  for (const auto& [g, m] : allocation) balanced.set_owner(intern_group(g), m);
   EXPECT_LE(load_imbalance(balanced, members), 1u);
 }
 

@@ -69,6 +69,8 @@ TEST(ConfParser, SlashSuffixOptional) {
 
 TEST(ConfParser, Errors) {
   EXPECT_THROW(parse_config("Bogus = 1\n"), ConfigError);
+  // Retired option: wire v2 is the only encoding.
+  EXPECT_THROW(parse_config("CompactWire = no\n"), ConfigError);
   EXPECT_THROW(parse_config("Mature = fast\n"), ConfigError);
   EXPECT_THROW(parse_config("Mature = 5\n"), ConfigError);  // unit required
   EXPECT_THROW(parse_config("RepresentativeDriven = maybe\n"), ConfigError);

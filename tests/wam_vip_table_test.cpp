@@ -20,17 +20,17 @@ gcs::GroupView view_of(std::initializer_list<int> daemons) {
 
 TEST(VipTable, ClaimUnowned) {
   VipTable t;
-  auto r = t.claim("g", member(1), view_of({1, 2}));
+  auto r = t.claim(intern_group("g"), member(1), view_of({1, 2}));
   EXPECT_TRUE(r.claimed);
   EXPECT_FALSE(r.dropped.has_value());
-  EXPECT_EQ(*t.owner("g"), member(1));
+  EXPECT_EQ(*t.owner(intern_group("g")), member(1));
 }
 
 TEST(VipTable, ReclaimByOwnerIsIdempotent) {
   VipTable t;
   auto v = view_of({1, 2});
-  t.claim("g", member(1), v);
-  auto r = t.claim("g", member(1), v);
+  t.claim(intern_group("g"), member(1), v);
+  auto r = t.claim(intern_group("g"), member(1), v);
   EXPECT_TRUE(r.claimed);
   EXPECT_FALSE(r.dropped.has_value());
 }
@@ -40,23 +40,23 @@ TEST(VipTable, ConflictLaterMemberWins) {
   // BEFORE q. The later claimant keeps the address.
   VipTable t;
   auto v = view_of({1, 2});
-  t.claim("g", member(1), v);
-  auto r = t.claim("g", member(2), v);
+  t.claim(intern_group("g"), member(1), v);
+  auto r = t.claim(intern_group("g"), member(2), v);
   EXPECT_TRUE(r.claimed);
   ASSERT_TRUE(r.dropped.has_value());
   EXPECT_EQ(*r.dropped, member(1));
-  EXPECT_EQ(*t.owner("g"), member(2));
+  EXPECT_EQ(*t.owner(intern_group("g")), member(2));
 }
 
 TEST(VipTable, ConflictEarlierClaimantLoses) {
   VipTable t;
   auto v = view_of({1, 2});
-  t.claim("g", member(2), v);
-  auto r = t.claim("g", member(1), v);
+  t.claim(intern_group("g"), member(2), v);
+  auto r = t.claim(intern_group("g"), member(1), v);
   EXPECT_FALSE(r.claimed);
   ASSERT_TRUE(r.dropped.has_value());
   EXPECT_EQ(*r.dropped, member(1));
-  EXPECT_EQ(*t.owner("g"), member(2));
+  EXPECT_EQ(*t.owner(intern_group("g")), member(2));
 }
 
 TEST(VipTable, ConflictResolutionIsSymmetric) {
@@ -64,20 +64,20 @@ TEST(VipTable, ConflictResolutionIsSymmetric) {
   // same — this is what makes the distributed procedure deterministic.
   auto v = view_of({1, 2});
   VipTable a;
-  a.claim("g", member(1), v);
-  a.claim("g", member(2), v);
+  a.claim(intern_group("g"), member(1), v);
+  a.claim(intern_group("g"), member(2), v);
   VipTable b;
-  b.claim("g", member(2), v);
-  b.claim("g", member(1), v);
-  EXPECT_EQ(*a.owner("g"), *b.owner("g"));
+  b.claim(intern_group("g"), member(2), v);
+  b.claim(intern_group("g"), member(1), v);
+  EXPECT_EQ(*a.owner(intern_group("g")), *b.owner(intern_group("g")));
 }
 
 TEST(VipTable, LoadAndOwnedBy) {
   VipTable t;
   auto v = view_of({1, 2});
-  t.claim("a", member(1), v);
-  t.claim("b", member(1), v);
-  t.claim("c", member(2), v);
+  t.claim(intern_group("a"), member(1), v);
+  t.claim(intern_group("b"), member(1), v);
+  t.claim(intern_group("c"), member(2), v);
   EXPECT_EQ(t.load_of(member(1)), 2u);
   EXPECT_EQ(t.load_of(member(2)), 1u);
   EXPECT_EQ(t.owned_by(member(1)), (std::vector<std::string>{"a", "b"}));
@@ -85,29 +85,29 @@ TEST(VipTable, LoadAndOwnedBy) {
 
 TEST(VipTable, Uncovered) {
   VipTable t;
-  t.claim("b", member(1), view_of({1}));
+  t.claim(intern_group("b"), member(1), view_of({1}));
   auto holes = t.uncovered({"a", "b", "c"});
   EXPECT_EQ(holes, (std::vector<std::string>{"a", "c"}));
 }
 
 TEST(VipTable, SetAndClearOwner) {
   VipTable t;
-  t.set_owner("g", member(3));
-  EXPECT_EQ(*t.owner("g"), member(3));
-  t.clear_owner("g");
-  EXPECT_FALSE(t.owner("g").has_value());
+  t.set_owner(intern_group("g"), member(3));
+  EXPECT_EQ(*t.owner(intern_group("g")), member(3));
+  t.clear_owner(intern_group("g"));
+  EXPECT_FALSE(t.owner(intern_group("g")).has_value());
 }
 
 TEST(VipTable, ClearEmptiesTable) {
   VipTable t;
-  t.set_owner("g", member(1));
+  t.set_owner(intern_group("g"), member(1));
   t.clear();
   EXPECT_TRUE(t.owners().empty());
 }
 
 TEST(VipTable, DescribeListsOwners) {
   VipTable t;
-  t.set_owner("g", member(1));
+  t.set_owner(intern_group("g"), member(1));
   EXPECT_NE(t.describe().find("g->"), std::string::npos);
 }
 

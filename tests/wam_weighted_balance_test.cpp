@@ -29,7 +29,7 @@ std::vector<std::string> groups(int n) {
 TEST(WeightedBalance, SharesProportionalToWeights) {
   VipTable table;
   auto all = groups(9);
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(wackamole::intern_group(g), member(1));
   std::vector<MemberInfo> members = {
       MemberInfo{member(1), true, 2, {}},  // weight 2
       MemberInfo{member(2), true, 1, {}},  // weight 1
@@ -44,7 +44,7 @@ TEST(WeightedBalance, SharesProportionalToWeights) {
 TEST(WeightedBalance, RemainderGoesToLargestFraction) {
   VipTable table;
   auto all = groups(10);
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(wackamole::intern_group(g), member(1));
   std::vector<MemberInfo> members = {
       MemberInfo{member(1), true, 1, {}},
       MemberInfo{member(2), true, 2, {}},
@@ -60,7 +60,7 @@ TEST(WeightedBalance, RemainderGoesToLargestFraction) {
 TEST(WeightedBalance, EqualWeightsMatchUnweightedBehaviour) {
   VipTable table;
   auto all = groups(8);
-  for (const auto& g : all) table.set_owner(g, member(1));
+  for (const auto& g : all) table.set_owner(wackamole::intern_group(g), member(1));
   std::vector<MemberInfo> members = {
       MemberInfo{member(1), true, 3, {}},
       MemberInfo{member(2), true, 3, {}},

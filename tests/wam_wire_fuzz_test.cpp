@@ -22,12 +22,15 @@ struct Codec {
 };
 
 std::vector<Codec> codecs() {
-  StateMsg state;
+  const GroupId vip0 = intern_group("vip0");
+  const GroupId vip1 = intern_group("vip1");
+
+  StateMsgV2 state;
   state.view = ViewTag{3, 0x0a000001, 9};
   state.mature = true;
-  state.owned = {"vip0", "vip1"};
-  state.preferred = {"vip1"};
-  state.quarantined = {"vip0"};
+  state.owned = {vip0, vip1};
+  state.preferred = {vip1};
+  state.quarantined = {vip0};
 
   NotifyMsg notify;
   notify.view = ViewTag{5, 0x0a000003, 4};
@@ -36,29 +39,23 @@ std::vector<Codec> codecs() {
   notify.cooldown_ms = 30000;
   notify.reason = "injected failure: acquire vip0";
 
-  BalanceMsg balance;
+  BalanceMsgV2 balance;
   balance.view = ViewTag{4, 0x0a000002, 2};
-  balance.allocation = {{"vip0", {0x0a000001, 1}}, {"vip1", {0x0a000002, 2}}};
+  balance.allocation = {{vip0, {0x0a000001, 1}}, {vip1, {0x0a000002, 2}}};
 
   ArpShareMsg arp;
   arp.ips = {1, 2, 0xdeadbeef};
 
   return {
-      {"state", encode_state(state),
-       [](const util::Bytes& b) { (void)decode_state(b); }},
-      {"balance", encode_balance(balance),
-       [](const util::Bytes& b) { (void)decode_balance(b); }},
-      {"alloc", encode_alloc(balance),
-       [](const util::Bytes& b) { (void)decode_alloc(b); }},
       {"arp_share", encode_arp_share(arp),
        [](const util::Bytes& b) { (void)decode_arp_share(b); }},
       {"notify", encode_notify(notify),
        [](const util::Bytes& b) { (void)decode_notify(b); }},
-      {"state_v2", encode_state_v2(to_v2(state)),
+      {"state_v2", encode_state_v2(state),
        [](const util::Bytes& b) { (void)decode_state_v2(b); }},
-      {"balance_v2", encode_balance_v2(to_v2(balance)),
+      {"balance_v2", encode_balance_v2(balance),
        [](const util::Bytes& b) { (void)decode_balance_v2(b); }},
-      {"alloc_v2", encode_alloc_v2(to_v2(balance)),
+      {"alloc_v2", encode_alloc_v2(balance),
        [](const util::Bytes& b) { (void)decode_alloc_v2(b); }},
   };
 }
@@ -94,24 +91,46 @@ TEST(WamWireFuzz, OversizedCountsAreRejected) {
     EXPECT_THROW((void)decode_arp_share(w.take()), util::DecodeError);
   }
   {
-    util::ByteWriter w;  // STATE with an implausible owned-list count
-    w.u8(static_cast<std::uint8_t>(WamMsgType::kState));
+    util::ByteWriter w;  // STATE with an implausible name-table count
+    w.u8(static_cast<std::uint8_t>(WamMsgType::kStateV2));
     w.u64(1);  // view tag
     w.u32(0x0a000001);
     w.u64(1);
     w.boolean(true);
-    w.u32(1);           // weight
-    w.u32(0x10000000);  // 268M owned names in an empty remainder
-    EXPECT_THROW((void)decode_state(w.take()), util::DecodeError);
+    w.varint(1);           // weight
+    w.varint(0x10000000);  // 268M names in an empty remainder
+    EXPECT_THROW((void)decode_state_v2(w.take()), util::DecodeError);
   }
   {
-    util::ByteWriter w;  // BALANCE with an implausible allocation count
-    w.u8(static_cast<std::uint8_t>(WamMsgType::kBalance));
+    util::ByteWriter w;  // STATE with an implausible owned-list count
+    w.u8(static_cast<std::uint8_t>(WamMsgType::kStateV2));
     w.u64(1);
     w.u32(0x0a000001);
     w.u64(1);
-    w.u32(0x10000000);
-    EXPECT_THROW((void)decode_balance(w.take()), util::DecodeError);
+    w.boolean(true);
+    w.varint(1);           // weight
+    w.varint(0);           // empty name table
+    w.varint(0x10000000);  // 268M owned indices in an empty remainder
+    EXPECT_THROW((void)decode_state_v2(w.take()), util::DecodeError);
+  }
+  {
+    util::ByteWriter w;  // BALANCE with an implausible owner-table count
+    w.u8(static_cast<std::uint8_t>(WamMsgType::kBalanceV2));
+    w.u64(1);
+    w.u32(0x0a000001);
+    w.u64(1);
+    w.varint(0x10000000);
+    EXPECT_THROW((void)decode_balance_v2(w.take()), util::DecodeError);
+  }
+  {
+    util::ByteWriter w;  // ALLOC with an implausible allocation count
+    w.u8(static_cast<std::uint8_t>(WamMsgType::kAllocV2));
+    w.u64(1);
+    w.u32(0x0a000001);
+    w.u64(1);
+    w.varint(0);  // empty owner table
+    w.varint(0x10000000);
+    EXPECT_THROW((void)decode_alloc_v2(w.take()), util::DecodeError);
   }
   {
     util::ByteWriter w;  // NOTIFY claiming a 268MB group name

@@ -1,8 +1,8 @@
 // Wire format v2: compact STATE/BALANCE/ALLOC bodies (per-message name
-// table + varint indices). Pins round-trips, the v1<->v2 bridges, the
-// cross-process determinism of the encoded bytes (sorted by NAME, never by
-// process-local GroupId), version rejection by v1-only decoders, and the
-// claimed size win over the v1 encodings.
+// table + varint indices). Pins round-trips, the cross-process
+// determinism of the encoded bytes (sorted by NAME, never by process-local
+// GroupId), rejection of the retired v1 codes, and an absolute byte budget
+// per entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,37 +69,22 @@ TEST(WamWireV2, PeekTypeSeesTheNewCodes) {
             WamMsgType::kAllocV2);
 }
 
-// A v1-only decoder fed v2 bytes must reject at the type byte with a clean
-// DecodeError — new message CODES are the version mechanism.
-TEST(WamWireV2, V1DecodersRejectV2Bytes) {
-  auto state2 = encode_state_v2(sample_state());
-  auto balance2 = encode_balance_v2(sample_balance());
-  auto alloc2 = encode_alloc_v2(sample_balance());
-  EXPECT_THROW((void)decode_state(state2), util::DecodeError);
-  EXPECT_THROW((void)decode_balance(balance2), util::DecodeError);
-  EXPECT_THROW((void)decode_alloc(alloc2), util::DecodeError);
-  // ...and vice versa: a v2 decoder does not misparse v1 bytes.
-  EXPECT_THROW((void)decode_state_v2(encode_state(to_v1(sample_state()))),
+// The retired v1 codes still peek (an old peer's message is not garbage)
+// but no decoder accepts them, and no decoder accepts another's code.
+TEST(WamWireV2, RetiredCodesAreRejected) {
+  for (auto code : {WamMsgType::kState, WamMsgType::kBalance,
+                    WamMsgType::kAlloc}) {
+    util::Bytes bytes = encode_state_v2(sample_state());
+    bytes[0] = static_cast<std::uint8_t>(code);
+    EXPECT_EQ(peek_type(bytes), code);
+    EXPECT_THROW((void)decode_state_v2(bytes), util::DecodeError);
+    EXPECT_THROW((void)decode_balance_v2(bytes), util::DecodeError);
+    EXPECT_THROW((void)decode_alloc_v2(bytes), util::DecodeError);
+  }
+  EXPECT_THROW((void)decode_state_v2(encode_balance_v2(sample_balance())),
                util::DecodeError);
-}
-
-TEST(WamWireV2, BridgesRoundTripContentAndOrder) {
-  auto m2 = sample_state();
-  auto m1 = to_v1(m2);
-  EXPECT_EQ(m1.owned,
-            (std::vector<std::string>{"vip-alpha", "vip-beta", "vip-gamma"}));
-  EXPECT_EQ(m1.preferred, (std::vector<std::string>{"vip-beta", "vip-delta"}));
-  auto back = to_v2(m1);
-  EXPECT_EQ(back.owned, m2.owned);
-  EXPECT_EQ(back.preferred, m2.preferred);
-  EXPECT_EQ(back.quarantined, m2.quarantined);
-
-  auto b2 = sample_balance();
-  auto b1 = to_v1(b2);
-  ASSERT_EQ(b1.allocation.size(), b2.allocation.size());
-  EXPECT_EQ(b1.allocation[0].first, "vip-alpha");
-  EXPECT_EQ(b1.allocation[0].second, b2.allocation[0].second);
-  EXPECT_EQ(to_v2(b1).allocation, b2.allocation);
+  EXPECT_THROW((void)decode_balance_v2(encode_alloc_v2(sample_balance())),
+               util::DecodeError);
 }
 
 // The encoded bytes must not depend on intern order (GroupIds are
@@ -139,29 +124,41 @@ TEST(WamWireV2, BytesAreInternOrderIndependent) {
   EXPECT_EQ(encode_state_v2(m), bytes);
 }
 
-TEST(WamWireV2, CompactBodiesBeatV1AtScale) {
+TEST(WamWireV2, CompactBodiesFitByteBudgetAtScale) {
   // 64 members x 512 groups with realistic heap-allocated names: the
-  // regime the compact format exists for.
+  // regime the compact format exists for. Each name travels once; every
+  // further mention of a group costs at most 2 bytes (a varint index
+  // below 16384).
+  constexpr int kGroups = 512;
   StateMsgV2 s;
   s.view = ViewTag{3, 0x0a000001, 7};
   BalanceMsgV2 b;
   b.view = s.view;
-  for (int i = 0; i < 512; ++i) {
-    auto id = intern_group("customer-vip-group-10-20-" + std::to_string(i) +
-                           ".production.example.net");
+  std::size_t names = 0;  // total vstr bytes of the distinct names
+  for (int i = 0; i < kGroups; ++i) {
+    auto name = "customer-vip-group-10-20-" + std::to_string(i) +
+                ".production.example.net";
+    names += 1 + name.size();  // names are < 128 bytes: 1-byte prefix
+    auto id = intern_group(name);
     s.owned.push_back(id);
     s.preferred.push_back(id);
     s.quarantined.push_back(id);
     b.allocation.emplace_back(
         id, std::make_pair(0x0a000000u + (i % 64), 1u + (i % 64)));
   }
-  auto v1_state = encode_state(to_v1(s)).size();
-  auto v2_state = encode_state_v2(s).size();
-  EXPECT_LT(v2_state, v1_state / 2)
-      << "v2 STATE must at least halve the duplicated-name v1 body";
-  auto v1_balance = encode_balance(to_v1(b)).size();
-  auto v2_balance = encode_balance_v2(b).size();
-  EXPECT_LT(v2_balance, v1_balance);
+  // Fixed part: type, view tag, mature flag, weight, four list/table
+  // counts.
+  constexpr std::size_t kStateHeader = 1 + 20 + 1 + 1 + 4 * 2;
+  EXPECT_LE(encode_state_v2(s).size(),
+            kStateHeader + names + 2 * 3 * static_cast<std::size_t>(kGroups))
+      << "STATE must carry each name once plus <= 2 bytes per list entry";
+  // Fixed part: type, view tag, owner and entry counts.
+  constexpr std::size_t kBalanceHeader = 1 + 20 + 2 * 2;
+  EXPECT_LE(encode_balance_v2(b).size(),
+            kBalanceHeader + 8 * 64 + names +
+                2 * static_cast<std::size_t>(kGroups))
+      << "BALANCE must carry 8 bytes per owner plus name and <= 2 bytes "
+         "per entry";
 }
 
 TEST(WamWireV2, EmptyListsRoundTrip) {
