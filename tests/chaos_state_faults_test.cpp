@@ -118,6 +118,21 @@ TEST(StateFaultCampaign, Seed119GhostMemberRegression) {
   EXPECT_TRUE(r.passed()) << to_string(r.violations.front());
 }
 
+TEST(StateFaultCampaign, ResyncWipeIsAudited) {
+  // A corruption lands on a server while a resync it scheduled earlier is
+  // still pending, and the resync wipes the table before the next timer
+  // audit. The view-change and disconnect wipes audit first; the resync
+  // wipe did not, so the oracle reported the corruption as never
+  // detected. Fixed by the pre-wipe audit in
+  // wackamole::Daemon::resync_tick; without it this seed reports a
+  // corruption-undetected violation.
+  CampaignOptions opt;
+  opt.generator.state_faults = true;
+  opt.shrink = false;
+  auto r = run_seed(73, Profile::kCluster, opt);
+  EXPECT_TRUE(r.passed()) << to_string(r.violations.front());
+}
+
 TEST(StateFaultCampaign, MeasuresReconvergenceWindows) {
   CampaignOptions opt;
   opt.generator.state_faults = true;
