@@ -3,7 +3,8 @@
 //
 // Reports, per configuration: the fail-over interruption (should stay flat
 // — timeout-dominated, Figure 5's message), the number of GCS messages the
-// reconfiguration cost (sequenced data + views installed), and the
+// reconfiguration cost (sequenced data + views installed), the Discovery
+// frames the membership protocol sent over the whole run, and the
 // wall-clock time the whole simulated scenario took — the row the
 // protocol fast path exists for, dominated by placement + wire codec work
 // once the sweep reaches 64 servers x 4096 VIPs.
@@ -66,9 +67,9 @@ int main(int argc, char** argv) {
       "with cluster size");
 
   std::vector<Row> rows;
-  std::printf("\n  %-9s %-7s %-16s %-18s %-16s %-12s\n", "servers", "vips",
-              "interruption (s)", "msgs sequenced", "views installed",
-              "wall (ms)");
+  std::printf("\n  %-9s %-7s %-16s %-18s %-16s %-18s %-12s\n", "servers",
+              "vips", "interruption (s)", "msgs sequenced", "views installed",
+              "discovery frames", "wall (ms)");
   auto sweep = [&](int servers, int vips) {
     apps::ClusterOptions opt;
     opt.num_servers = servers;
@@ -97,9 +98,13 @@ int main(int argc, char** argv) {
 
     std::uint64_t sequenced = s.obs.registry.sum("gcs/*/data_sequenced");
     std::uint64_t views = s.obs.registry.sum("gcs/*/views_installed");
-    std::printf("  %-9d %-7d %-16.2f %-18llu %-16llu %-12.1f\n", servers,
-                vips, interruption, static_cast<unsigned long long>(sequenced),
-                static_cast<unsigned long long>(views), wall_ms);
+    std::uint64_t discovery =
+        s.obs.registry.sum("gcs/*/tx/discovery/frames");
+    std::printf("  %-9d %-7d %-16.2f %-18llu %-16llu %-18llu %-12.1f\n",
+                servers, vips, interruption,
+                static_cast<unsigned long long>(sequenced),
+                static_cast<unsigned long long>(views),
+                static_cast<unsigned long long>(discovery), wall_ms);
     rows.push_back(Row{servers, vips, wall_ms});
   };
 

@@ -1,6 +1,8 @@
 #include "gcs/daemon.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -11,6 +13,18 @@ namespace {
 std::pair<std::uint32_t, std::uint64_t> origin_key(const DataMessage& d) {
   return {d.sender.daemon.value(), d.origin_msg_id};
 }
+
+/// Delay before a Discovery re-broadcast triggered by news. Every daemon
+/// learned within the window rides one flood instead of one flood each,
+/// which turns a membership change from O(N^3) Discovery frames into
+/// O(N^2); the flood carries set unions, so merging loses nothing.
+constexpr sim::Duration kDiscoveryCoalesce = sim::milliseconds(1);
+
+/// Registry segment per Message alternative (tx/<name>/...).
+constexpr const char* kMsgTypeNames[] = {"heartbeat", "discovery", "propose",
+                                         "accept",    "install",   "forward",
+                                         "data",      "nack",      "token"};
+static_assert(std::size(kMsgTypeNames) == std::variant_size_v<Message>);
 
 // Single source of truth for DaemonCounters field names.
 template <class CountersT, class Fn>
@@ -30,19 +44,25 @@ void for_each_gcs_metric(CountersT&& c, Fn&& fn) {
   fn("decode_errors", c.decode_errors);
   fn("corruptions_detected", c.corruptions_detected);
   fn("self_heals", c.self_heals);
+  for (std::size_t i = 0; i < std::size(kMsgTypeNames); ++i) {
+    const std::string tx = std::string("tx/") + kMsgTypeNames[i];
+    fn(tx + "/frames", c.tx_frames[i]);
+    fn(tx + "/bytes", c.tx_bytes[i]);
+  }
 }
 }  // namespace
 
 void DaemonCounters::bind(obs::MetricRegistry& registry,
                           const std::string& scope) {
-  for_each_gcs_metric(*this, [&](const char* name, obs::Counter& c) {
+  for_each_gcs_metric(*this, [&](const std::string& name, obs::Counter& c) {
     registry.bind(c, scope + "/" + name);
   });
 }
 
 void DaemonCounters::export_into(obs::MetricRegistry& registry,
                                  const std::string& scope) const {
-  for_each_gcs_metric(*this, [&](const char* name, const obs::Counter& c) {
+  for_each_gcs_metric(*this,
+                      [&](const std::string& name, const obs::Counter& c) {
     registry.counter(scope + "/" + name) = c.value();
   });
 }
@@ -124,6 +144,7 @@ void Daemon::stop() {
   token_pass_timer_.cancel();
   token_retry_timer_.cancel();
   discovery_rebroadcast_timer_.cancel();
+  discovery_coalesce_timer_.cancel();
   discovery_deadline_timer_.cancel();
   install_deadline_timer_.cancel();
   for (auto& [member, timer] : fault_timers_) timer.cancel();
@@ -138,18 +159,26 @@ void Daemon::stop() {
 
 // ------------------------------------------------------------------ I/O ----
 
+util::Bytes Daemon::encode_counted(const Message& msg) {
+  util::Bytes bytes = encode(msg);
+  ++counters_.tx_frames[msg.index()];
+  counters_.tx_bytes[msg.index()] += bytes.size();
+  return bytes;
+}
+
 void Daemon::broadcast(const Message& msg) {
   if (!config_.multicast_group.is_any()) {
     host_.send_udp_multicast(ifindex_, config_.multicast_group, config_.port,
-                             config_.port, encode(msg));
+                             config_.port, encode_counted(msg));
     return;
   }
-  host_.send_udp_broadcast(ifindex_, config_.port, config_.port, encode(msg));
+  host_.send_udp_broadcast(ifindex_, config_.port, config_.port,
+                           encode_counted(msg));
 }
 
 void Daemon::unicast(DaemonId to, const Message& msg) {
   if (to == id_) return;  // local paths are invoked directly
-  host_.send_udp(to, config_.port, config_.port, encode(msg));
+  host_.send_udp(to, config_.port, config_.port, encode_counted(msg));
 }
 
 void Daemon::on_udp(const net::Host::UdpContext& ctx,
@@ -740,6 +769,7 @@ void Daemon::enter_discovery(const char* reason) {
   log_.info("entering discovery (epoch %llu): %s",
             static_cast<unsigned long long>(discovery_epoch_), reason);
   discovery_broadcast();
+  discovery_coalesce_timer_.cancel();
   discovery_rebroadcast_timer_.cancel();
   discovery_rebroadcast_timer_ = host_.scheduler().schedule(
       config_.heartbeat_timeout, [this] {
@@ -788,8 +818,12 @@ void Daemon::on_discovery(const Discovery& d) {
   }
   bool they_know_us =
       std::binary_search(d.known.begin(), d.known.end(), id_);
-  if (changed || !they_know_us) {
-    discovery_broadcast();
+  if ((changed || !they_know_us) && !discovery_coalesce_timer_.pending()) {
+    // Re-flood once, shortly, with known_ as it stands then.
+    discovery_coalesce_timer_ =
+        host_.scheduler().schedule(kDiscoveryCoalesce, [this] {
+          if (state_ == State::kDiscovery) discovery_broadcast();
+        });
   }
   if (changed) {
     // Extend the window so the flood can converge everywhere.
@@ -802,6 +836,7 @@ void Daemon::on_discovery(const Discovery& d) {
 void Daemon::discovery_deadline() {
   if (state_ != State::kDiscovery) return;
   discovery_rebroadcast_timer_.cancel();
+  discovery_coalesce_timer_.cancel();
   std::vector<DaemonId> members(known_.begin(), known_.end());
   std::sort(members.begin(), members.end());
   if (members.front() == id_) {
@@ -860,6 +895,7 @@ void Daemon::on_propose(const Propose& p) {
       if (p.view.epoch < discovery_epoch_) return;  // stale
       discovery_epoch_ = p.view.epoch;
       discovery_rebroadcast_timer_.cancel();
+      discovery_coalesce_timer_.cancel();
       discovery_deadline_timer_.cancel();
       send_accept(p.view, p.view.coordinator);
       break;
@@ -1028,6 +1064,7 @@ void Daemon::install_view(const Install& inst) {
   accepts_.clear();
   accepted_proposal_.reset();
   discovery_rebroadcast_timer_.cancel();
+  discovery_coalesce_timer_.cancel();
   discovery_deadline_timer_.cancel();
   install_deadline_timer_.cancel();
   ++counters_.views_installed;

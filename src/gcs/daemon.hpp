@@ -36,6 +36,7 @@
 //     ordered by (rank of hosting daemon in the view, client id).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -82,6 +83,11 @@ struct DaemonCounters {
   obs::Counter decode_errors;
   obs::Counter corruptions_detected;
   obs::Counter self_heals;
+  /// Sent frames and payload bytes per message type, indexed by the
+  /// Message alternative; registry names gcs/<scope>/tx/<type>/frames and
+  /// .../bytes (e.g. gcs/s1/tx/discovery/frames).
+  std::array<obs::Counter, std::variant_size_v<Message>> tx_frames;
+  std::array<obs::Counter, std::variant_size_v<Message>> tx_bytes;
 
   void bind(obs::MetricRegistry& registry, const std::string& scope);
   void export_into(obs::MetricRegistry& registry,
@@ -154,6 +160,8 @@ class Daemon {
   void on_udp(const net::Host::UdpContext& ctx, const util::SharedBytes& payload);
   void broadcast(const Message& msg);
   void unicast(DaemonId to, const Message& msg);
+  /// Encode `msg` and count it under tx/<type>.
+  util::Bytes encode_counted(const Message& msg);
 
   // ---- Operational state ----
   void on_heartbeat(const Heartbeat& hb);
@@ -276,6 +284,7 @@ class Daemon {
   std::uint64_t discovery_epoch_ = 0;
   std::set<DaemonId> known_;
   sim::TimerHandle discovery_rebroadcast_timer_;
+  sim::TimerHandle discovery_coalesce_timer_;  // pending merged re-flood
   sim::TimerHandle discovery_deadline_timer_;
   sim::TimerHandle install_deadline_timer_;
   std::optional<ViewId> accepted_proposal_;

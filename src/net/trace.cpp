@@ -6,12 +6,14 @@ namespace wam::net {
 
 FrameTrace::FrameTrace(sim::Scheduler& sched, Fabric& fabric,
                        std::size_t capacity)
-    : sched_(sched), capacity_(capacity) {
-  fabric.set_tap([this](SegmentId seg, const Frame& frame) {
+    : sched_(sched), fabric_(fabric), capacity_(capacity) {
+  fabric_.set_tap([this](SegmentId seg, const Frame& frame) {
     records_.push_back(Record{sched_.now(), seg, summarize(frame)});
     if (records_.size() > capacity_) records_.pop_front();
   });
 }
+
+FrameTrace::~FrameTrace() { fabric_.set_tap(nullptr); }
 
 std::string FrameTrace::summarize(const Frame& frame) {
   switch (frame.type) {

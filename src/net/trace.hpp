@@ -23,9 +23,13 @@ class FrameTrace {
     std::string summary;
   };
 
-  /// Attaching replaces the fabric's existing tap (if any).
+  /// Attaching replaces the fabric's existing tap (if any); destroying the
+  /// trace clears it, so the fabric may outlive the trace.
   FrameTrace(sim::Scheduler& sched, Fabric& fabric,
              std::size_t capacity = 4096);
+  ~FrameTrace();
+  FrameTrace(const FrameTrace&) = delete;
+  FrameTrace& operator=(const FrameTrace&) = delete;
 
   [[nodiscard]] const std::deque<Record>& records() const { return records_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
@@ -42,6 +46,7 @@ class FrameTrace {
 
  private:
   sim::Scheduler& sched_;
+  Fabric& fabric_;
   std::size_t capacity_;
   std::deque<Record> records_;
 };

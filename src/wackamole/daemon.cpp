@@ -7,6 +7,14 @@
 
 namespace wam::wackamole {
 
+namespace {
+/// First look-again after a duplicate-address conflict. On a BALANCE round
+/// the new owner can apply ALLOC before the old owner has released; the
+/// release follows within the same round, so a short re-check closes the
+/// gap that a full acquire_backoff would leave uncovered.
+constexpr sim::Duration kHandoffRecheck = sim::milliseconds(1);
+}  // namespace
+
 const char* wam_state_name(WamState s) {
   switch (s) {
     case WamState::kIdle: return "IDLE";
@@ -675,6 +683,16 @@ void Daemon::acquire_group(std::uint32_t pos) {
     log_.warn("acquire of %s hit a duplicate address (%s): deferring to "
               "conflict resolution",
               name.c_str(), result.detail.c_str());
+    auto& p = pending_acquires_[pos];
+    if (!p.handoff_rechecked) {
+      // Likely a hand-off in flight: re-check soon, spending neither an
+      // attempt nor a jitter draw. Later conflicts take the normal backoff.
+      p.handoff_rechecked = true;
+      p.timer.cancel();
+      p.timer = sched_.schedule(kHandoffRecheck,
+                                [this, pos] { acquire_retry_tick(pos); });
+      return;
+    }
   } else {
     ++counters_.acquire_failures;
     log_.warn("acquire of %s failed: %s", name.c_str(), result.detail.c_str());

@@ -303,6 +303,7 @@ class Daemon {
   /// position: ordered containers iterate in group-name order.
   struct PendingOp {
     int attempts = 0;  // failed attempts so far
+    bool handoff_rechecked = false;  // first conflict's quick re-check used
     sim::TimerHandle timer;
   };
   std::map<std::uint32_t, PendingOp> pending_acquires_;

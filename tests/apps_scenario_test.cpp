@@ -92,6 +92,16 @@ TEST(ScenarioRun, LeaveShrinksReachableSet) {
   EXPECT_TRUE(ok) << out.str();
 }
 
+// The trace is destroyed before the cluster, whose teardown still sends
+// frames: the trace must detach from the fabric first (ASan catches the
+// write into the freed ring otherwise).
+TEST(ScenarioRun, TracedRunTearsDownCleanly) {
+  std::ostringstream out;
+  bool ok = run_scenario("servers 3\nvips 4\nrun 5\n", out, 16);
+  EXPECT_TRUE(ok) << out.str();
+  EXPECT_NE(out.str().find("last 16 frames:"), std::string::npos);
+}
+
 TEST(ScenarioRun, StatusRendersState) {
   std::ostringstream out;
   run_scenario("servers 2\nvips 2\nat 3 status server1\nrun 6\n", out);

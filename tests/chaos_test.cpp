@@ -55,7 +55,7 @@ TEST(ChaosCampaign, DifferentSeedsDiffer) {
 TEST(ChaosCampaign, PinnedRegressionSeedsStayClean) {
   CampaignOptions opt;
   opt.shrink = false;
-  for (std::uint64_t seed : {4u, 28u, 55u, 63u, 66u}) {
+  for (std::uint64_t seed : {4u, 28u, 55u, 63u, 66u, 117u}) {
     auto r = run_seed(seed, Profile::kCluster, opt);
     EXPECT_TRUE(r.passed())
         << "seed " << seed << ": " << to_string(r.violations.front());

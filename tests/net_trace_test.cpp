@@ -69,6 +69,18 @@ TEST_F(TraceTest, SummarizeMalformedFrames) {
   EXPECT_EQ(FrameTrace::summarize(bogus_arp), "ARP <malformed>");
 }
 
+TEST_F(TraceTest, DestructionDetachesFromFabric) {
+  auto scoped = std::make_unique<FrameTrace>(sched, fabric);
+  a->send_gratuitous_arp(0, Ipv4Address(10, 0, 0, 1));
+  sched.run_all();
+  EXPECT_EQ(scoped->count("gratuitous"), 1u);
+  scoped.reset();
+  // Frames sent after the trace is gone reach no tap.
+  a->send_gratuitous_arp(0, Ipv4Address(10, 0, 0, 1));
+  sched.run_all();
+  EXPECT_EQ(trace.size(), 0u);
+}
+
 TEST_F(TraceTest, ClearEmptiesRecords) {
   a->send_gratuitous_arp(0, Ipv4Address(10, 0, 0, 1));
   sched.run_all();

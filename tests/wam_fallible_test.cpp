@@ -187,6 +187,48 @@ TEST(WamFallible, StickyFaultEndToEndMigratesAndRejoins) {
   EXPECT_TRUE(s.coverage_exactly_once({1, 2}));
 }
 
+// A BALANCE hand-off in which the new owner applies the allocation before
+// the old owner releases: the acquirer's duplicate-address probe still
+// sees the old holder. The first conflict of a pending acquire re-checks
+// after 1 ms instead of a full acquire_backoff, so the VIP is uncovered
+// for about a millisecond.
+TEST(WamFallible, BalanceHandoffConflictRecoversWithinMilliseconds) {
+  apps::ClusterOptions opt;
+  opt.num_servers = 2;
+  opt.num_vips = 2;
+  opt.with_router = false;
+  apps::ClusterScenario s(opt);
+  s.start();
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(30.0)));
+  // Park both VIPs on server2, then bring server1 back holding nothing.
+  // server1 has the lowest address, so its GCS daemon sequences the
+  // BALANCE and it applies the allocation before server2 does.
+  s.graceful_leave(0);
+  s.run(sim::seconds(5.0));
+  s.rejoin(0);
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(30.0)));
+  s.run(sim::seconds(1.0));
+  ASSERT_EQ(s.owner_of(0), 1);
+  ASSERT_EQ(s.owner_of(1), 1);
+
+  const auto conflicts = s.wam(0).counters().arp_conflicts.value();
+  ASSERT_TRUE(s.wam(0).trigger_balance() || s.wam(1).trigger_balance());
+  const auto tick = sim::microseconds(100);
+  int uncovered_ticks = 0;
+  for (int i = 0; i < 3000; ++i) {  // 300 ms
+    s.run(tick);
+    for (int k = 0; k < opt.num_vips; ++k) {
+      if (s.coverage_count(s.vip(k), s.all_servers()) == 0) ++uncovered_ticks;
+    }
+  }
+  EXPECT_EQ(s.wam(0).counters().arp_conflicts.value(), conflicts + 1)
+      << "the acquirer should see the old holder exactly once";
+  EXPECT_LE(uncovered_ticks, 20) << "uncovered for " << uncovered_ticks
+                                 << " x 100 us";
+  EXPECT_TRUE(s.coverage_exactly_once(s.all_servers()));
+  EXPECT_EQ(s.owner_of(0) + s.owner_of(1), 1) << "one VIP each";
+}
+
 TEST(WamFallible, PanicReleaseEventCarriesCause) {
   apps::ClusterOptions opt;
   opt.num_servers = 3;
