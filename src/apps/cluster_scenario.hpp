@@ -166,7 +166,8 @@ class ClusterScenario {
   [[nodiscard]] std::vector<int> all_servers() const;
 
   sim::Scheduler sched;
-  sim::Log log{sched};
+  /// Records warn and above; WAM_LOG=1 records and echoes every level.
+  sim::Log log{sched, sim::LogLevel::kWarn};
   /// Shared observability context: every daemon, host and fabric in the
   /// scenario is bound here (scopes "wam/s<N>", "gcs/s<N>", "net", ...),
   /// and `timeline` records every structured event for JSON export.

@@ -97,7 +97,7 @@ class RouterScenario {
   }
 
   sim::Scheduler sched;
-  sim::Log log{sched};
+  sim::Log log{sched, sim::LogLevel::kWarn};
   /// Shared observability context (see ClusterScenario for the scope
   /// conventions); declared before the bound components.
   obs::Observability obs;

@@ -105,7 +105,7 @@ TrialResult wackamole_trial(const TrialOptions& t) {
 /// running echo servers, one client, same VIP addresses as Wackamole.
 struct BaselineLan {
   sim::Scheduler sched;
-  sim::Log log{sched};
+  sim::Log log{sched, sim::LogLevel::kWarn};
   net::Fabric fabric;
   net::SegmentId seg;
   std::vector<std::unique_ptr<net::Host>> hosts;

@@ -95,12 +95,16 @@ Ipv4Network Host::network(int ifindex) const { return iface(ifindex).net; }
 
 void Host::add_alias(int ifindex, Ipv4Address ip) {
   iface(ifindex).aliases.insert(ip);
-  log_.debug("alias + %s on if%d", ip.to_string().c_str(), ifindex);
+  if (log_.would_log(sim::LogLevel::kDebug)) {
+    log_.debug("alias + %s on if%d", ip.to_string().c_str(), ifindex);
+  }
 }
 
 void Host::remove_alias(int ifindex, Ipv4Address ip) {
   iface(ifindex).aliases.erase(ip);
-  log_.debug("alias - %s on if%d", ip.to_string().c_str(), ifindex);
+  if (log_.would_log(sim::LogLevel::kDebug)) {
+    log_.debug("alias - %s on if%d", ip.to_string().c_str(), ifindex);
+  }
 }
 
 bool Host::owns_ip(Ipv4Address ip) const { return ifindex_of_ip(ip) >= 0; }
@@ -130,7 +134,9 @@ void Host::send_gratuitous_arp(int ifindex, Ipv4Address ip) {
   arp.target_ip = ip;  // sender==target marks it gratuitous
   Frame f{mac(ifindex), MacAddress::broadcast(), EtherType::kArp, arp.encode()};
   ++counters_.arp_replies_sent;
-  log_.debug("gratuitous ARP for %s", ip.to_string().c_str());
+  if (log_.would_log(sim::LogLevel::kDebug)) {
+    log_.debug("gratuitous ARP for %s", ip.to_string().c_str());
+  }
   fabric_.send(ifc.nic, std::move(f));
 }
 
@@ -157,9 +163,12 @@ void Host::send_spoofed_reply(int ifindex, Ipv4Address claimed_ip,
   arp.target_ip = target_ip;
   Frame f{mac(ifindex), *target_mac, EtherType::kArp, arp.encode()};
   ++counters_.arp_replies_sent;
-  log_.debug("spoofed ARP reply: %s is-at %s -> %s",
-             claimed_ip.to_string().c_str(), mac(ifindex).to_string().c_str(),
-             target_ip.to_string().c_str());
+  if (log_.would_log(sim::LogLevel::kDebug)) {
+    log_.debug("spoofed ARP reply: %s is-at %s -> %s",
+               claimed_ip.to_string().c_str(),
+               mac(ifindex).to_string().c_str(),
+               target_ip.to_string().c_str());
+  }
   fabric_.send(ifc.nic, std::move(f));
 }
 

@@ -59,7 +59,7 @@ std::size_t Log::count(const std::string& prefix,
 }
 
 void Logger::vwrite(LogLevel level, const char* fmt, std::va_list ap) const {
-  if (!log_ || !log_->would_log(level)) return;  // skip formatting entirely
+  if (!would_log(level)) return;  // skip formatting entirely
   char buf[512];
   std::vsnprintf(buf, sizeof(buf), fmt, ap);
   log_->write(level, component_, buf);
@@ -67,7 +67,7 @@ void Logger::vwrite(LogLevel level, const char* fmt, std::va_list ap) const {
 
 #define WAM_LOG_IMPL(method, level)                 \
   void Logger::method(const char* fmt, ...) const { \
-    if (!log_ || !log_->would_log(level)) return;   \
+    if (!would_log(level)) return;                  \
     std::va_list ap;                                \
     va_start(ap, fmt);                              \
     vwrite(level, fmt, ap);                         \

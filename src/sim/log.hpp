@@ -3,7 +3,9 @@
 // Log lines carry the virtual timestamp and a component tag ("gcs/s3",
 // "wam/s1", "net"). Records are kept in an in-memory ring so tests can
 // assert on protocol activity, and optionally echoed to stderr when
-// WAM_LOG=1 (or set_echo(true)) for debugging runs.
+// WAM_LOG=1 (or set_echo(true)) for debugging runs. A Log may be built
+// with a minimum level (scenario worlds record warn and above); WAM_LOG=1
+// overrides it, so a debugging run records and echoes every level.
 #pragma once
 
 #include <cstdarg>
@@ -34,9 +36,15 @@ struct LogRecord {
 class Log {
  public:
   explicit Log(const Scheduler& sched, std::size_t capacity = 65536)
-      : sched_(&sched), capacity_(capacity) {
-    // Environment opt-in for interactive debugging.
-    if (const char* e = ::getenv("WAM_LOG"); e && e[0] == '1') echo_ = true;
+      : Log(sched, LogLevel::kTrace, capacity) {}
+  Log(const Scheduler& sched, LogLevel min_level,
+      std::size_t capacity = 65536)
+      : sched_(&sched), capacity_(capacity), min_level_(min_level) {
+    // Environment opt-in for interactive debugging: every level, echoed.
+    if (const char* e = ::getenv("WAM_LOG"); e && e[0] == '1') {
+      echo_ = true;
+      min_level_ = LogLevel::kTrace;
+    }
   }
 
   void set_echo(bool on) { echo_ = on; }
@@ -80,6 +88,11 @@ class Logger {
   void error(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
   [[nodiscard]] bool enabled() const { return log_ != nullptr; }
+  /// Whether a record at `level` would be kept. Call sites whose arguments
+  /// allocate (to_string()) check this first so dropped records cost nothing.
+  [[nodiscard]] bool would_log(LogLevel level) const {
+    return log_ != nullptr && log_->would_log(level);
+  }
   [[nodiscard]] const std::string& component() const { return component_; }
 
  private:

@@ -142,8 +142,8 @@ void Daemon::graceful_shutdown() {
 
 std::vector<std::string> Daemon::owned() const {
   std::vector<std::string> out;
-  for (const auto& name : groups_.names) {
-    if (ip_manager_.holds(name)) out.push_back(name);
+  for (std::uint32_t p = 0; p < groups_.size(); ++p) {
+    if (ip_manager_.holds(groups_.ids[p])) out.push_back(groups_.names[p]);
   }
   return out;
 }
@@ -190,7 +190,9 @@ void Daemon::on_membership(const gcs::GroupView& gv) {
   // obligation holds unconditionally.
   run_audit(AuditPoint::kPreWipe);
   ++counters_.view_changes;
-  log_.info("VIEW_CHANGE: %s", gv.to_string().c_str());
+  if (log_.would_log(sim::LogLevel::kInfo)) {
+    log_.info("VIEW_CHANGE: %s", gv.to_string().c_str());
+  }
   // Algorithm 1 lines 1-4 / Algorithm 2 lines 7-9: clear the table (the
   // addresses we actually hold are our "old table" knowledge), send a
   // STATE_MSG tagged with the new view, and enter GATHER.
@@ -303,7 +305,7 @@ void Daemon::send_state_msg() {
   // Positions are name-sorted, so the owned list goes out in the same
   // sorted order the string path produced.
   for (std::uint32_t p = 0; p < groups_.size(); ++p) {
-    if (ip_manager_.holds(groups_.names[p])) m.owned.push_back(groups_.ids[p]);
+    if (ip_manager_.holds(groups_.ids[p])) m.owned.push_back(groups_.ids[p]);
   }
   m.preferred = preferred_ids_;
   m.quarantined.reserve(quarantined_.size());
@@ -349,8 +351,10 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
     auto result = table_.claim(id, sender, *view_);
     if (result.dropped && client_.connected() &&
         *result.dropped == client_.self()) {
-      log_.info("conflict on %s: releasing (we precede %s in the view)",
-                groups_.names[*pos].c_str(), sender.to_string().c_str());
+      if (log_.would_log(sim::LogLevel::kInfo)) {
+        log_.info("conflict on %s: releasing (we precede %s in the view)",
+                  groups_.names[*pos].c_str(), sender.to_string().c_str());
+      }
       release_group(*pos);
       ++counters_.conflicts_dropped;
     }
@@ -427,8 +431,8 @@ void Daemon::finish_gather() {
        {{"holes", std::to_string(assignments.size())},
         {"mode", "deterministic"}});
   enter_state(WamState::kRun);
-  log_.info("GATHER complete: reallocated %zu holes, table %s",
-            assignments.size(), table_.describe().c_str());
+  log_.info("GATHER complete: reallocated %zu holes, table holds %zu groups",
+            assignments.size(), table_.size());
   arm_balance_timer();
 }
 
@@ -478,7 +482,7 @@ void Daemon::handle_balance_msg(const BalanceMsgV2& m) {
     for (auto pos : config_pos_) {
       auto owner = next.owner(groups_.ids[pos]);
       bool should_hold = owner && *owner == me;
-      bool holds = ip_manager_.holds(groups_.names[pos]);
+      bool holds = ip_manager_.holds(groups_.ids[pos]);
       if (should_hold && !holds) acquire_group(pos);
       if (!should_hold && holds) release_group(pos);
     }
@@ -601,8 +605,10 @@ void Daemon::announce_tick() {
   if (!running_) return;
   // Anti-entropy: gratuitous-ARP refresh for everything we hold, so caches
   // that missed the takeover spoof (lossy LAN) eventually converge.
-  for (const auto& g : config_.vip_groups) {
-    if (ip_manager_.holds(g.name)) ip_manager_.announce(g);
+  for (auto pos : config_pos_) {
+    if (ip_manager_.holds(groups_.ids[pos])) {
+      ip_manager_.announce(*group_of_[pos]);
+    }
   }
   arm_announce_timer();
 }
@@ -662,8 +668,8 @@ std::vector<MemberState> Daemon::member_states() const {
 }
 
 void Daemon::acquire_group(std::uint32_t pos) {
+  if (ip_manager_.holds(groups_.ids[pos])) return;
   const auto& name = groups_.names[pos];
-  if (ip_manager_.holds(name)) return;
   auto result = ip_manager_.acquire(*group_of_[pos]);
   if (result.ok()) {
     pending_acquires_.erase(pos);
@@ -701,8 +707,7 @@ void Daemon::acquire_group(std::uint32_t pos) {
 }
 
 void Daemon::release_group(std::uint32_t pos) {
-  const auto& name = groups_.names[pos];
-  if (!ip_manager_.holds(name)) {
+  if (!ip_manager_.holds(groups_.ids[pos])) {
     auto it = pending_releases_.find(pos);
     if (it != pending_releases_.end()) {
       it->second.timer.cancel();
@@ -710,6 +715,7 @@ void Daemon::release_group(std::uint32_t pos) {
     }
     return;
   }
+  const auto& name = groups_.names[pos];
   auto result = ip_manager_.release(*group_of_[pos]);
   if (!result.ok()) {
     // A release that fails leaves us still answering for the address, so —
@@ -730,8 +736,10 @@ void Daemon::release_group(std::uint32_t pos) {
 }
 
 void Daemon::release_everything(const char* cause) {
+  std::size_t held = 0;
+  for (auto id : groups_.ids) held += ip_manager_.holds(id) ? 1 : 0;
   emit(obs::EventType::kPanicRelease,
-       {{"cause", cause}, {"held", std::to_string(owned().size())}});
+       {{"cause", cause}, {"held", std::to_string(held)}});
   for (auto pos : config_pos_) release_group(pos);
 }
 
@@ -777,7 +785,7 @@ void Daemon::schedule_acquire_retry(std::uint32_t pos,
 
 void Daemon::acquire_retry_tick(std::uint32_t pos) {
   if (!running_) return;
-  if (ip_manager_.holds(groups_.names[pos])) {
+  if (ip_manager_.holds(groups_.ids[pos])) {
     pending_acquires_.erase(pos);
     return;
   }
@@ -806,7 +814,7 @@ void Daemon::schedule_release_retry(std::uint32_t pos) {
 
 void Daemon::release_retry_tick(std::uint32_t pos) {
   if (!running_) return;
-  if (!ip_manager_.holds(groups_.names[pos])) {
+  if (!ip_manager_.holds(groups_.ids[pos])) {
     pending_releases_.erase(pos);
     return;
   }
@@ -827,7 +835,7 @@ void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
   const auto& name = groups_.names[pos];
   // Drop whatever partial state the failed acquires left behind. (Sim
   // acquisition is all-or-nothing; real platforms may partially bind.)
-  if (ip_manager_.holds(name)) {
+  if (ip_manager_.holds(groups_.ids[pos])) {
     release_group(pos);
   } else {
     ip_manager_.release(*group_of_[pos]);
@@ -962,7 +970,7 @@ void Daemon::cooldown_tick(std::uint32_t pos) {
   log_.info("quarantine of %s cleared: enforcement layer healthy again",
             name.c_str());
   bool claimed = false;
-  if (ours_or_hole && result.ok() && ip_manager_.holds(name)) {
+  if (ours_or_hole && result.ok() && ip_manager_.holds(groups_.ids[pos])) {
     table_.set_owner(groups_.ids[pos], client_.self());
     ++counters_.acquires;
     emit(obs::EventType::kVipAcquired, {{"group", name}});

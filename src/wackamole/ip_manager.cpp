@@ -22,13 +22,16 @@ void SimIpManager::bind_observability(obs::Observability& obs,
                                       std::string scope) {
   obs_ = &obs;
   obs_scope_ = std::move(scope);
-  update_held_gauge();
+  held_gauge_ = &obs.registry.gauge(obs_scope_ + "/held_groups");
+  *held_gauge_ = static_cast<double>(held_count_);
 }
 
-void SimIpManager::update_held_gauge() {
-  if (obs_ == nullptr) return;
-  obs_->registry.gauge(obs_scope_ + "/held_groups") =
-      static_cast<double>(held_.size());
+void SimIpManager::set_held(GroupId group, bool on) {
+  if (group >= held_.size()) held_.resize(group + 1, false);
+  if (held_[group] == on) return;
+  held_[group] = on;
+  held_count_ = on ? held_count_ + 1 : held_count_ - 1;
+  if (held_gauge_ != nullptr) *held_gauge_ = static_cast<double>(held_count_);
 }
 
 void SimIpManager::add_notify_target(net::Ipv4Address ip) {
@@ -55,11 +58,12 @@ std::vector<net::Ipv4Address> SimIpManager::notify_targets() const {
 }
 
 OsOpResult SimIpManager::acquire(const VipGroup& group) {
+  const auto id = intern_group(group.name);
   // Duplicate-address detection: probe every address before binding any.
   // A live holder elsewhere in our network component means binding would
   // split client traffic between two MACs; report kConflict and let the
   // protocol's ResolveConflicts() ordering decide who backs off.
-  if (held_.count(group.name) == 0) {
+  if (!holds(id)) {
     for (const auto& [ip, ifindex] : group.addresses) {
       if (host_.probe_address(ifindex, ip)) {
         if (obs_ != nullptr) {
@@ -75,9 +79,8 @@ OsOpResult SimIpManager::acquire(const VipGroup& group) {
   for (const auto& [ip, ifindex] : group.addresses) {
     host_.add_alias(ifindex, ip);
   }
-  held_.insert(group.name);
-  update_held_gauge();
-  announce(group);
+  set_held(id, true);
+  announce_held(group);
   return OsOpResult::success();
 }
 
@@ -85,13 +88,16 @@ OsOpResult SimIpManager::release(const VipGroup& group) {
   for (const auto& [ip, ifindex] : group.addresses) {
     host_.remove_alias(ifindex, ip);
   }
-  held_.erase(group.name);
-  update_held_gauge();
+  set_held(intern_group(group.name), false);
   return OsOpResult::success();
 }
 
 OsOpResult SimIpManager::announce(const VipGroup& group) {
-  if (held_.count(group.name) == 0) return OsOpResult::success();
+  if (holds(group.name)) announce_held(group);
+  return OsOpResult::success();
+}
+
+void SimIpManager::announce_held(const VipGroup& group) {
   expire_notify_targets();
   if (obs_ != nullptr) {
     obs_->emit(host_.scheduler().now(), obs::EventType::kArpAnnounce,
@@ -118,11 +124,6 @@ OsOpResult SimIpManager::announce(const VipGroup& group) {
       }
     }
   }
-  return OsOpResult::success();
-}
-
-bool SimIpManager::holds(const std::string& group) const {
-  return held_.count(group) > 0;
 }
 
 void FaultyIpManager::set_sticky_group(const std::string& group, bool on) {
@@ -201,7 +202,10 @@ OsOpResult RecordingIpManager::acquire(const VipGroup& group) {
   ops_.push_back("acquire " + group.name +
                  (r.ok() ? "" : std::string(" [") +
                                     os_op_status_name(r.status) + "]"));
-  if (r.ok()) held_.insert(group.name);
+  if (r.ok()) {
+    intern_group(group.name);  // so the name form of holds() can find it
+    held_.insert(group.name);
+  }
   return r;
 }
 

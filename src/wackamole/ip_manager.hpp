@@ -27,6 +27,7 @@
 #include "obs/observability.hpp"
 #include "sim/random.hpp"
 #include "wackamole/config.hpp"
+#include "wackamole/group_ids.hpp"
 
 namespace wam::wackamole {
 
@@ -68,7 +69,15 @@ class IpManager {
   /// Re-announce ownership of an already-held group (periodic refresh,
   /// or after learning of new notify targets).
   virtual OsOpResult announce(const VipGroup& group) = 0;
-  [[nodiscard]] virtual bool holds(const std::string& group) const = 0;
+  /// Whether every address of the group is bound here. Keyed by id: the
+  /// daemon asks this for every configured group on each STATE/BALANCE.
+  [[nodiscard]] virtual bool holds(GroupId group) const = 0;
+  /// Name form for tests and oracles. A name that was never interned
+  /// cannot have been acquired, so it answers false without interning.
+  [[nodiscard]] bool holds(const std::string& group) const {
+    auto id = find_group_id(group);
+    return id && holds(*id);
+  }
   /// Router application: register a host to notify on takeover. Platforms
   /// without ARP-share support ignore this.
   virtual void add_notify_target(net::Ipv4Address /*ip*/) {}
@@ -96,7 +105,10 @@ class SimIpManager : public IpManager {
   OsOpResult acquire(const VipGroup& group) override;
   OsOpResult release(const VipGroup& group) override;
   OsOpResult announce(const VipGroup& group) override;
-  [[nodiscard]] bool holds(const std::string& group) const override;
+  using IpManager::holds;
+  [[nodiscard]] bool holds(GroupId group) const override {
+    return group < held_.size() && held_[group];
+  }
 
   [[nodiscard]] net::Host& host() { return host_; }
 
@@ -106,15 +118,18 @@ class SimIpManager : public IpManager {
 
  private:
   void expire_notify_targets();
-  void update_held_gauge();
+  void set_held(GroupId group, bool on);
+  void announce_held(const VipGroup& group);
 
   net::Host& host_;
   std::map<int, net::Ipv4Address> routers_;  // ifindex -> router ip
   std::map<net::Ipv4Address, sim::TimePoint> notify_targets_;  // ip -> seen
   sim::Duration notify_ttl_ = sim::kZero;
-  std::set<std::string> held_;
+  std::vector<bool> held_;  // indexed by GroupId
+  std::size_t held_count_ = 0;
   obs::Observability* obs_ = nullptr;
   std::string obs_scope_;
+  double* held_gauge_ = nullptr;  // registry cell "<scope>/held_groups"
 };
 
 /// Fault-injecting decorator around any IpManager, seeded from sim::Rng so
@@ -161,7 +176,8 @@ class FaultyIpManager : public IpManager {
   OsOpResult acquire(const VipGroup& group) override;
   OsOpResult release(const VipGroup& group) override;
   OsOpResult announce(const VipGroup& group) override;
-  [[nodiscard]] bool holds(const std::string& group) const override {
+  using IpManager::holds;
+  [[nodiscard]] bool holds(GroupId group) const override {
     return inner_.holds(group);
   }
   void add_notify_target(net::Ipv4Address ip) override {
@@ -193,8 +209,9 @@ class RecordingIpManager : public IpManager {
   OsOpResult acquire(const VipGroup& group) override;
   OsOpResult release(const VipGroup& group) override;
   OsOpResult announce(const VipGroup& group) override;
-  [[nodiscard]] bool holds(const std::string& group) const override {
-    return held_.count(group) > 0;
+  using IpManager::holds;
+  [[nodiscard]] bool holds(GroupId group) const override {
+    return held_.count(group_name(group)) > 0;
   }
 
   void push_result(OsOpResult r) { scripted_.push_back(std::move(r)); }

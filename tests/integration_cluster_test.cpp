@@ -2,6 +2,8 @@
 // router, echo servers and the measuring client.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "apps/cluster_scenario.hpp"
 
 namespace wam::apps {
@@ -189,6 +191,26 @@ TEST(IntegrationCluster, TwelveServersTenVips) {
     if (i != 5) survivors.push_back(i);
   }
   EXPECT_TRUE(s.coverage_exactly_once(survivors));
+}
+
+TEST(IntegrationCluster, ScenarioLogRecordsWarnAndAbove) {
+  ClusterOptions opt;
+  opt.num_servers = 2;
+  ClusterScenario s(opt);
+  s.start();
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(10.0)));
+  const char* env = std::getenv("WAM_LOG");
+  if (env != nullptr && env[0] == '1') {
+    // A debugging run records every level.
+    EXPECT_EQ(s.log.min_level(), sim::LogLevel::kTrace);
+    return;
+  }
+  for (const auto& rec : s.log.records()) {
+    EXPECT_GE(rec.level, sim::LogLevel::kWarn) << rec.render();
+  }
+  s.crash_daemon(0);
+  s.run(sim::seconds(1.0));
+  EXPECT_EQ(s.log.count("wam/", "lost local GCS daemon"), 1u);
 }
 
 }  // namespace

@@ -273,5 +273,41 @@ TEST_F(IpManagerTest, RecordingManagerScriptedResults) {
                                       "acquire web"}));
 }
 
+TEST_F(IpManagerTest, HoldsAgreesAcrossManagersByIdAndByName) {
+  SimIpManager sim_mgr(*server);
+  // The wrapped manager binds on its own segment, so duplicate-address
+  // detection does not see sim_mgr's copy of the group.
+  net::Host other(sched, fabric, "other");
+  other.add_interface(fabric.add_segment(), net::Ipv4Address(10, 0, 0, 2), 24);
+  SimIpManager inner(other);
+  FaultyIpManager faulty(inner, 7);  // no knob set: a pure pass-through
+  RecordingIpManager recording;
+  std::vector<IpManager*> mgrs = {&sim_mgr, &faulty, &recording};
+  const auto id = intern_group(group.name);
+  auto expect_all = [&](bool held) {
+    for (auto* m : mgrs) {
+      EXPECT_EQ(m->holds(id), held);
+      EXPECT_EQ(m->holds(group.name), held);
+    }
+  };
+  expect_all(false);
+  for (auto* m : mgrs) ASSERT_TRUE(m->acquire(group).ok());
+  expect_all(true);
+  for (auto* m : mgrs) ASSERT_TRUE(m->release(group).ok());
+  expect_all(false);
+  for (auto* m : mgrs) ASSERT_TRUE(m->acquire(group).ok());
+  expect_all(true);
+  EXPECT_EQ(recording.held(), (std::set<std::string>{"web"}));
+}
+
+TEST_F(IpManagerTest, UnknownNameIsNotHeldAndNotInterned) {
+  SimIpManager sim_mgr(*server);
+  RecordingIpManager recording;
+  const auto before = group_interner().size();
+  EXPECT_FALSE(sim_mgr.holds("never-configured-group"));
+  EXPECT_FALSE(recording.holds("never-configured-group"));
+  EXPECT_EQ(group_interner().size(), before);
+}
+
 }  // namespace
 }  // namespace wam::wackamole
